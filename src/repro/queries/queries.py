@@ -256,7 +256,8 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
     query: on exhaustion it returns ``unknown`` carrying the last
     candidate that satisfied all examples so far as a best-effort model.
     """
-    inputs = set(input_terms)
+    # Ordered, so examples and holes follow the caller's order.
+    inputs = dict.fromkeys(input_terms)
     hole_terms = [var for var in T.term_vars(goal) if var not in inputs]
     examples: List[dict] = [{var: _default_value(var) for var in inputs}]
     guess_solver = SmtSolver(max_conflicts=max_conflicts, budget=budget,

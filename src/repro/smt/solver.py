@@ -652,8 +652,8 @@ class SmtSolver:
                 break
             if result is SmtResult.UNSAT:
                 # The i-th element is redundant; the new core is `trial`'s.
-                refined = self.unsat_core()
-                current = [t for t in trial if t in set(refined)] or trial
+                refined = set(self._last_core)
+                current = [t for t in trial if t in refined] or trial
             else:
                 i += 1
         self._last_result = saved_result

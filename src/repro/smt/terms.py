@@ -19,8 +19,11 @@ Sorts
 from __future__ import annotations
 
 import gc
+import itertools
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from _weakref import _remove_dead_weakref
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Sorts and operators
@@ -66,9 +69,16 @@ OP_ASHR = "bvashr"
 
 
 class Term:
-    """A node of the interned term DAG. Use the ``mk_*`` constructors."""
+    """A node of the interned term DAG. Use the ``mk_*`` constructors.
 
-    __slots__ = ("op", "args", "payload", "sort", "width", "_hash", "__weakref__")
+    Every term carries a creation ``serial``: a child was always built
+    before its parent, and the serial is the only thing the term layer
+    orders or hashes terms by. Equality is the inherited object identity;
+    interning guarantees structural equality iff ``is``.
+    """
+
+    __slots__ = ("op", "args", "payload", "sort", "width", "serial",
+                 "__weakref__")
 
     def __init__(self, op: str, args: Tuple["Term", ...], payload, sort: str,
                  width: int):
@@ -77,17 +87,10 @@ class Term:
         self.payload = payload      # constant value or variable name
         self.sort = sort
         self.width = width          # 0 for booleans
-        self._hash = hash((op, args, payload, width))
+        self.serial = next(_SERIALS)
 
     def __hash__(self) -> int:
-        return self._hash
-
-    # Identity equality: interning guarantees structural equality iff `is`.
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __ne__(self, other) -> bool:
-        return self is not other
+        return self.serial
 
     @property
     def is_const(self) -> bool:
@@ -111,38 +114,65 @@ class Term:
         return to_sexpr(self, max_depth=4)
 
 
-# Weak-value interning: the table maps a structural key to the one live
-# Term with that structure, but does not keep it alive. When the last
-# outside reference to a term dies, its entry vanishes (each key tuple
-# holds strong references to the term's *args*, so subterm entries only
-# follow once every parent entry is gone — the DAG unravels top-down).
-# This is what makes it safe for the table to outlive any particular
-# query: live terms are never evicted, so structural equality remains
-# object identity across query boundaries, and dead terms cost nothing.
-_TABLE: "weakref.WeakValueDictionary[Tuple, Term]" = \
-    weakref.WeakValueDictionary()
+_SERIALS = itertools.count()
+
+# Sort key of the canonical child order: creation serial.
+_by_serial = attrgetter("serial")
+
+
+# Weak interning: the table maps a structural key to a weak reference to
+# the one live Term with that structure, so it never keeps a term alive.
+# The key is ``(op, payload, width, *serials of the args)``: serials are
+# never reused, and a live term keeps its args alive, so a key names one
+# structure for as long as its entry exists, and hashing it never calls
+# back into Python. When the last outside reference to a term dies, its
+# reference's callback drops the entry; the term's args then lose a
+# reference, so the DAG unravels top-down. Live terms are never evicted,
+# so structural equality remains object identity across query
+# boundaries, and dead terms cost nothing.
+_TABLE: "Dict[Tuple, weakref.KeyedRef]" = {}
+
+
+def _forget(ref: weakref.KeyedRef, _table=_TABLE,
+            _remove=_remove_dead_weakref) -> None:
+    # Bound through defaults so that it still works while module globals
+    # are torn down at interpreter shutdown. The entry is only removed if
+    # it still holds a dead reference: a structurally equal term interned
+    # after this one died keeps its entry.
+    _remove(_table, ref.key)
+
+
+def _key(op: str, args: Tuple[Term, ...], payload, width: int) -> Tuple:
+    return (op, payload, width, *map(_by_serial, args))
+
+
+def _lookup(op: str, args: Tuple[Term, ...], payload,
+            width: int) -> Optional[Term]:
+    """The live interned term with this structure, without building it."""
+    ref = _TABLE.get(_key(op, args, payload, width))
+    return ref() if ref is not None else None
 
 
 def _intern(op: str, args: Tuple[Term, ...], payload, sort: str,
             width: int) -> Term:
-    key = (op, args, payload, width)
-    term = _TABLE.get(key)
-    if term is None:
-        term = Term(op, args, payload, sort, width)
-        _TABLE[key] = term
+    key = _key(op, args, payload, width)
+    ref = _TABLE.get(key)
+    if ref is not None:
+        term = ref()
+        if term is not None:
+            return term
+    term = Term(op, args, payload, sort, width)
+    _TABLE[key] = weakref.KeyedRef(term, _forget, key)
     return term
 
 
 def reset_terms() -> None:
     """Reclaim interned terms that are no longer referenced.
 
-    Historical note: this used to *clear* the table, which broke the
-    interning invariant — a term built before the clear and a structurally
-    equal one built after were distinct objects, so identity-based
-    equality silently failed across query boundaries. Interning is weak
-    now: dead terms leave the table on their own, so all this needs to do
-    is run a collection to break any lingering reference cycles. Live
-    terms are never evicted.
+    Dead terms leave the table on their own; this only runs a collection
+    to break any lingering reference cycles. Live terms are never evicted,
+    so a term built before the call and a structurally equal one built
+    after it are the same object.
     """
     gc.collect()
 
@@ -151,10 +181,8 @@ def num_interned_terms() -> int:
     return len(_TABLE)
 
 
-TRUE = Term(OP_TRUE, (), None, BOOL, 0)
-FALSE = Term(OP_FALSE, (), None, BOOL, 0)
-_TABLE[(OP_TRUE, (), None, 0)] = TRUE
-_TABLE[(OP_FALSE, (), None, 0)] = FALSE
+TRUE = _intern(OP_TRUE, (), None, BOOL, 0)
+FALSE = _intern(OP_FALSE, (), None, BOOL, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,36 +247,43 @@ def mk_not(a: Term) -> Term:
     return _intern(OP_NOT, (a,), None, BOOL, 0)
 
 
-def _nary_bool(op: str, terms: Iterable[Term], unit: Term, zero: Term) -> Term:
-    """Build a flattened, deduplicated n-ary and/or."""
+def _nary_bool(op: str, terms: Tuple[Term, ...], unit: Term,
+               zero: Term) -> Term:
+    """Build a flattened, deduplicated n-ary and/or.
+
+    Children are keyed by their *atom* (the child itself, or the operand
+    of a ``not``) with a polarity, so a complementary pair is found
+    without building ``not child``: a /\\ ~a = false, a \\/ ~a = true.
+    """
+    _check_bool(*terms)
     flat: List[Term] = []
-    seen = set()
+    polarity: Dict[int, bool] = {}
     for term in terms:
-        _check_bool(term)
         if term is zero:
             return zero
         if term is unit:
             continue
-        if term.op == op:
-            children = term.args
-        else:
-            children = (term,)
+        children = term.args if term.op == op else (term,)
         for child in children:
             if child is zero:
                 return zero
-            if child is unit or id(child) in seen:
+            if child is unit:
                 continue
-            # Complementary pair: a /\ ~a = false, a \/ ~a = true.
-            complement = mk_not(child)
-            if id(complement) in seen:
+            if child.op == OP_NOT:
+                atom, positive = child.args[0].serial, False
+            else:
+                atom, positive = child.serial, True
+            seen = polarity.get(atom)
+            if seen is None:
+                polarity[atom] = positive
+                flat.append(child)
+            elif seen is not positive:
                 return zero
-            seen.add(id(child))
-            flat.append(child)
     if not flat:
         return unit
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=id)
+    flat.sort(key=_by_serial)
     return _intern(op, tuple(flat), None, BOOL, 0)
 
 
@@ -276,9 +311,11 @@ def mk_xor(a: Term, b: Term) -> Term:
         return mk_not(a)
     if a is b:
         return FALSE
-    if mk_not(a) is b:
+    # Complementary operands, found without building `not a`.
+    if (a.op == OP_NOT and a.args[0] is b) or \
+            (b.op == OP_NOT and b.args[0] is a):
         return TRUE
-    if id(a) > id(b):
+    if a.serial > b.serial:
         a, b = b, a
     return _intern(OP_XOR, (a, b), None, BOOL, 0)
 
@@ -295,7 +332,7 @@ def mk_eq(a: Term, b: Term) -> Term:
         return TRUE
     if a.is_const and b.is_const:
         return bool_const(a.const_value() == b.const_value())
-    if id(a) > id(b):
+    if a.serial > b.serial:
         a, b = b, a
     del width
     return _intern(OP_EQ, (a, b), None, BOOL, 0)
@@ -376,15 +413,15 @@ def _mk_bv_binop(op: str, a: Term, b: Term,
     width = _check_bv(a, b)
     if a.is_const and b.is_const:
         return bv_const(fold(a.const_value(), b.const_value(), width), width)
-    if commutative and id(a) > id(b):
+    if commutative and a.serial > b.serial:
         a, b = b, a
     return _intern(op, (a, b), None, BV, width)
 
 
 # Additive terms are kept in a *linear normal form*: a canonical n-ary sum
 # `c0 + c1*t1 + ... + cn*tn` over non-additive atoms, with the constant
-# first and atoms sorted by identity. Two expressions that are equal as
-# linear combinations (e.g. `(a+b)+2c` and `2c+b+a`, or `x+x` and `2x`)
+# first and atoms in creation-serial order. Two expressions that are equal
+# as linear combinations (e.g. `(a+b)+2c` and `2c+b+a`, or `x+x` and `2x`)
 # therefore intern to the SAME term, and equalities between them fold to
 # TRUE at construction time — the kind of algebraic normalization a
 # production symbolic engine performs before involving the solver.
@@ -429,7 +466,7 @@ def _build_linear(constant: int, atoms: Dict[Term, int], width: int) -> Term:
     if constant:
         parts.append(bv_const(constant, width))
     parts.extend(_scale_atom(atom, coeff, width)
-                 for atom, coeff in sorted(live, key=lambda ac: id(ac[0])))
+                 for atom, coeff in sorted(live, key=lambda ac: ac[0].serial))
     return _intern(OP_ADD, tuple(parts), None, BV, width)
 
 

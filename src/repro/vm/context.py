@@ -143,21 +143,21 @@ class VM:
         on the current path (the `bu` constraint of rule CO1).
         """
         saved_path = self.path
-        feasible: List[Tuple[T.Term, Callable[[], object]]] = []
+        # (guard, thunk, path condition of the alternative)
+        feasible: List[Tuple[T.Term, Callable[[], object], T.Term]] = []
         for guard_value, thunk in alternatives:
             guard = guard_value if isinstance(guard_value, T.Term) \
                 else bool_term(guard_value)
             extended = T.mk_and(saved_path, guard)
             if extended is not T.FALSE:
-                feasible.append((guard, thunk))
+                feasible.append((guard, thunk, extended))
         if assert_coverage and feasible:
-            self.assert_term(T.mk_or(*(g for g, _ in feasible)),
+            self.assert_term(T.mk_or(*(g for g, _, _ in feasible)),
                              failure_message)
         if not feasible:
             raise AssertionFailure(failure_message)
         if len(feasible) == 1:
-            guard, thunk = feasible[0]
-            self.path = T.mk_and(saved_path, guard)
+            _, thunk, self.path = feasible[0]
             try:
                 return thunk()
             finally:
@@ -170,8 +170,8 @@ class VM:
         results: List[Tuple[T.Term, object]] = []
         write_sets: List[Tuple[T.Term, Dict[Tuple[int, object], object]]] = []
         pre_values: Dict[Tuple[int, object], Tuple[object, object, object]] = {}
-        for guard, thunk in feasible:
-            self.path = T.mk_and(saved_path, guard)
+        for guard, thunk, extended in feasible:
+            self.path = extended
             self._push_frame()
             failed = False
             try:

@@ -1,10 +1,9 @@
-"""Intern-table lifecycle: weak-value interning across query boundaries.
+"""Intern-table lifecycle: weak interning across query boundaries.
 
-The regression here: `reset_terms()` used to *clear* the table, so a term
-held across the reset and a structurally equal term built afterwards were
-distinct objects — breaking the identity-based equality every layer above
-relies on. Interning is weak now: live terms are never evicted, dead
-terms leave the table on their own.
+Live terms are never evicted, so a term held across `reset_terms()` and a
+structurally equal term built afterwards are the same object — the
+identity-based equality every layer above relies on. Dead terms leave the
+table on their own.
 """
 
 import gc

@@ -88,6 +88,36 @@ class TestBooleanSimplification:
         assert T.mk_ite(T.mk_not(p), x, y) is T.mk_ite(p, y, x)
 
 
+class TestCanonicalOrder:
+    """Children are ordered, and terms hashed, by creation serial."""
+
+    def test_serials_increase_with_creation(self):
+        a, b = T.bool_var("so_a"), T.bool_var("so_b")
+        assert a.serial < b.serial
+        assert hash(a) == a.serial
+
+    def test_commutative_args_in_serial_order(self):
+        a, b, c = (T.bool_var(f"sc_{n}") for n in "abc")
+        conj = T.mk_and(c, a, b)
+        assert conj.args == (a, b, c)
+        assert T.mk_xor(b, a).args == (a, b)
+        x, y = T.bv_var("sc_x", 4), T.bv_var("sc_y", 4)
+        assert T.mk_eq(y, x).args == (x, y)
+        assert T.mk_bvand(y, x).args == (x, y)
+        assert T.mk_add(y, x, bv(3)).args == (bv(3), x, y)
+
+    def test_complement_found_without_building_negation(self):
+        a, b = T.bool_var("cp_a"), T.bool_var("cp_b")
+        T.mk_and(a, b)
+        T.mk_or(a, b, b)
+        T.mk_xor(a, b)
+        assert T._lookup(T.OP_NOT, (a,), None, 0) is None
+        assert T._lookup(T.OP_NOT, (b,), None, 0) is None
+        assert T.mk_and(a, b, T.mk_not(a)) is T.FALSE
+        assert T.mk_or(T.mk_not(b), a, b) is T.TRUE
+        assert T.mk_xor(T.mk_not(a), a) is T.TRUE
+
+
 class TestBitvectorSimplification:
     def test_constant_folding_wraps(self):
         assert T.mk_add(bv(15), bv(1)).const_value() == 0
