@@ -27,6 +27,7 @@ CR4v  9      10            5
 
 import pytest
 
+from repro.queries import Budget
 from repro.sym import set_default_int_width
 from repro.sdsl.ifcl import BUGGY_MACHINES, CORRECT_MACHINES, eeni_check
 
@@ -71,10 +72,10 @@ def _row(name: str, bound: int, result) -> str:
 def test_ifcl_verify(benchmark, name, bound, paper_bound):
     set_default_int_width(5)
     semantics = BUGGY_MACHINES[name]
-    cap = _QUICK_CAP if name in CAPPED else None
+    budget = Budget(conflicts=_QUICK_CAP) if name in CAPPED else None
 
     def run():
-        return eeni_check(semantics, bound, max_conflicts=cap)
+        return eeni_check(semantics, bound, budget=budget)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print("\nTable 3/4 row:", _row(name, bound, result),
@@ -100,10 +101,10 @@ BEST_EFFORT = {"CR2", "CR3"}
 def test_ifcl_verify_deep(benchmark, name, bound, paper_bound):
     set_default_int_width(5)
     semantics = BUGGY_MACHINES[name]
-    cap = 2_000_000 if name in BEST_EFFORT else None
+    budget = Budget(conflicts=2_000_000) if name in BEST_EFFORT else None
 
     def run():
-        return eeni_check(semantics, bound, max_conflicts=cap)
+        return eeni_check(semantics, bound, budget=budget)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print("\nTable 3/4 row:", _row(name, bound, result),

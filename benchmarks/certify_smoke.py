@@ -1,31 +1,42 @@
 #!/usr/bin/env python
 """CI certification smoke: certified queries per family, plus chaos.
 
-Exercises trust-but-verify mode end to end the way a user would:
+Exercises trust-but-verify mode end to end the way a user would, with
+the ``REPRO_CERTIFY=1`` environment variable (the one way to turn it on
+for queries and drivers):
 
-- a SYNTHCL CEGIS synthesis via the driver's ``certify=`` path — every
-  guess and every counterexample check is certified;
+- a SYNTHCL CEGIS synthesis — every guess and every counterexample check
+  is certified;
 - an IFCL EENI check (the certified-verify row: the insecurity witness's
   model is re-evaluated at the term level);
-- a WEBSYNTH XPath synthesis certified via the ``REPRO_CERTIFY``
-  environment variable (the zero-code-change path);
+- a WEBSYNTH XPath synthesis;
 - a fault-localization ``debug`` query — the MaxSAT-style loop's UNSAT
   answers replay their DRUP proofs and the minimized core is re-proved on
   a fresh one-shot solver;
 - the fault-injection suite: every chaos class must be caught.
 
-Each query must report its expected status with at least one certified
-check; a certifier that wrongly rejected a genuine answer would raise
+Each query must report its expected status with every solver check
+certified; a certifier that wrongly rejected a genuine answer would raise
 ``CertificationError`` and fail the script. Exits non-zero on any failure.
 """
 
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.sym import set_default_int_width  # noqa: E402
+
+
+@contextmanager
+def _certified():
+    os.environ["REPRO_CERTIFY"] = "1"
+    try:
+        yield
+    finally:
+        del os.environ["REPRO_CERTIFY"]
 
 
 def _report(label, outcome, expect_status):
@@ -43,26 +54,25 @@ def _report(label, outcome, expect_status):
 
 def smoke_synthcl_synthesize() -> None:
     from repro.sdsl.synthcl.bench import run_benchmark
-    print("synthcl synthesis (FWT2s, certify= path):")
-    _report("FWT2s", run_benchmark("FWT2s", certify=True), "sat")
+    print("synthcl synthesis (FWT2s):")
+    with _certified():
+        outcome = run_benchmark("FWT2s")
+    _report("FWT2s", outcome, "sat")
 
 
 def smoke_ifcl_verify() -> None:
     from repro.sdsl.ifcl import BUGGY_MACHINES
     from repro.sdsl.ifcl.verify import eeni_check
-    print("ifcl EENI check (B2, certify= path):")
-    result = eeni_check(BUGGY_MACHINES["B2"], 3, certify=True)
-    assert result.status == "insecure", result.status
-    stats = result.stats
-    assert stats.certified_checks >= 1, "ifcl: no certified checks"
-    print(f"  B2: insecure, "
-          f"{stats.certified_checks}/{stats.solver_checks} checks certified")
+    print("ifcl EENI check (B2):")
+    with _certified():
+        result = eeni_check(BUGGY_MACHINES["B2"], 3)
+    _report("B2", result, "insecure")
 
 
 def smoke_websynth_env() -> None:
     from repro.sdsl.websynth import HtmlNode
     from repro.sdsl.websynth.synth import synthesize_xpath
-    print("websynth synthesis (REPRO_CERTIFY environment knob):")
+    print("websynth synthesis:")
     page = HtmlNode("html", (
         HtmlNode("body", (
             HtmlNode("div", (HtmlNode("span", text="alpha"),
@@ -72,11 +82,10 @@ def smoke_websynth_env() -> None:
         )),
     ))
     set_default_int_width(16)
-    os.environ["REPRO_CERTIFY"] = "1"
     try:
-        result = synthesize_xpath(page, ["alpha", "beta", "gamma"])
+        with _certified():
+            result = synthesize_xpath(page, ["alpha", "beta", "gamma"])
     finally:
-        del os.environ["REPRO_CERTIFY"]
         set_default_int_width(32)
     _report("xpath", result, "sat")
 
@@ -86,7 +95,7 @@ def smoke_debug_query() -> None:
     from repro.smt import terms as T
     from repro.sym.values import SymInt
     from repro.vm.context import assert_
-    print("debug query (certify= path):")
+    print("debug query:")
 
     def thunk():
         x = relax(SymInt(T.bv_var("smoke_dbg", 8)), "x")
@@ -94,14 +103,12 @@ def smoke_debug_query() -> None:
         assert_(y == 0)
         assert_(x == 7)
 
-    outcome = debug(thunk, certify=True)
-    assert outcome.status == "sat", outcome.status
+    with _certified():
+        outcome = debug(thunk)
+    _report(f"blame core {sorted(outcome.core)}", outcome, "sat")
     assert outcome.core, "debug: empty blame core"
     assert outcome.stats.certified_checks >= 2, \
         "debug: expected the relaxation loop to certify several checks"
-    print(f"  blame core {sorted(outcome.core)}, "
-          f"{outcome.stats.certified_checks}/{outcome.stats.solver_checks} "
-          f"checks certified")
 
 
 def smoke_chaos(seed: int) -> None:

@@ -3,7 +3,8 @@
 
 Exercises the observability layer end to end the way a user would:
 
-- a SYNTHCL verification sweep traced via the driver's ``trace=`` path;
+- a SYNTHCL verification sweep traced into one file by wrapping the
+  driver call in ``with tracing(path):``;
 - an IFCL EENI check traced the same way;
 - a WEBSYNTH XPath synthesis traced via the ``REPRO_TRACE`` environment
   variable (the zero-code-change capture path);
@@ -29,6 +30,7 @@ from repro.obs import (  # noqa: E402
     jsonl_to_chrome,
     load_jsonl_trace,
     reset_env_sink,
+    tracing,
 )
 from repro.sym import set_default_int_width  # noqa: E402
 
@@ -61,10 +63,10 @@ def smoke_synthcl_verify(out_dir: Path) -> None:
     # joins; the equalities still fold concretely (the refinement is
     # proven by term interning without a solver check), which is itself
     # worth seeing in a trace: query spans with no smt.check inside.
-    print("synthcl verify sweep (SF1v, trace= path):")
+    print("synthcl verify sweep (SF1v, with tracing(path)):")
     trace = out_dir / "synthcl_sf1v.jsonl"
-    outcome = run_benchmark("SF1v", bounds=[(2, 2), (2, 3)],
-                            trace=str(trace))
+    with tracing(trace):
+        outcome = run_benchmark("SF1v", bounds=[(2, 2), (2, 3)])
     assert outcome.status == "unsat", outcome.status
     rows = _validate(trace, ["query.verify", "vm.join"])
     joins = [r for r in rows if r["name"] == "vm.join"]
@@ -75,7 +77,8 @@ def smoke_synthcl_synthesize(out_dir: Path) -> None:
     from repro.sdsl.synthcl.bench import run_benchmark
     print("synthcl synthesis (FWT2s, cegis iterations):")
     trace = out_dir / "synthcl_fwt2s.jsonl"
-    outcome = run_benchmark("FWT2s", trace=str(trace))
+    with tracing(trace):
+        outcome = run_benchmark("FWT2s")
     assert outcome.status == "sat", outcome.status
     _validate(trace, ["query.synthesize", "cegis.iteration", "smt.check"])
 
@@ -83,9 +86,10 @@ def smoke_synthcl_synthesize(out_dir: Path) -> None:
 def smoke_ifcl_verify(out_dir: Path) -> None:
     from repro.sdsl.ifcl import BUGGY_MACHINES
     from repro.sdsl.ifcl.verify import eeni_check
-    print("ifcl EENI check (B2, trace= path):")
+    print("ifcl EENI check (B2, with tracing(path)):")
     trace = out_dir / "ifcl_b2.jsonl"
-    result = eeni_check(BUGGY_MACHINES["B2"], 3, trace=str(trace))
+    with tracing(trace):
+        result = eeni_check(BUGGY_MACHINES["B2"], 3)
     assert result.status == "insecure", result.status
     _validate(trace, ["query.verify", "smt.check", "vm.join", "vm.union"])
 

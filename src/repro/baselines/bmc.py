@@ -44,13 +44,12 @@ def run_with_logical_merging(thunk: Callable[[], object]) -> Tuple[VM, object, b
         return vm, value, failed
 
 
-def bmc_solve(thunk: Callable[[], object],
-              max_conflicts: Optional[int] = None):
+def bmc_solve(thunk: Callable[[], object]):
     """The solve query under BMC-style merging. Returns (status, vm)."""
     vm, _, failed = run_with_logical_merging(thunk)
     if failed:
         return "unsat", vm
-    solver = SmtSolver(max_conflicts=max_conflicts)
+    solver = SmtSolver()
     for assertion in vm.assertions:
         solver.add_assertion(assertion)
     started = time.perf_counter()
@@ -64,8 +63,7 @@ def bmc_solve(thunk: Callable[[], object],
 
 
 def bmc_verify(thunk: Callable[[], object],
-               setup: Optional[Callable[[], object]] = None,
-               max_conflicts: Optional[int] = None):
+               setup: Optional[Callable[[], object]] = None):
     """The verify query under BMC-style merging. Returns (status, vm)."""
     with merge_strategy("logical"), VM() as vm:
         vm.stats.start()
@@ -86,7 +84,7 @@ def bmc_verify(thunk: Callable[[], object],
         targets = vm.assertions[mark:]
         if not targets:
             return "unsat", vm
-        solver = SmtSolver(max_conflicts=max_conflicts)
+        solver = SmtSolver()
         for assumption in assumptions:
             solver.add_assertion(assumption)
         solver.add_assertion(T.mk_or(*[T.mk_not(t) for t in targets]))

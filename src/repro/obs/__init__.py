@@ -2,20 +2,22 @@
 
 One event bus (:mod:`repro.obs.events`), a metrics registry over it
 (:mod:`repro.obs.metrics`), and pluggable sinks
-(:mod:`repro.obs.sinks`). Queries and SDSL drivers accept a ``trace=``
-argument handled by :func:`tracing`; setting the ``REPRO_TRACE``
-environment variable to a file path captures a JSONL trace from any
-unmodified program::
+(:mod:`repro.obs.sinks`). There are two ways to capture a trace. In code,
+wrap the calls in ``with tracing(sink):``, where ``sink`` is a path (a
+JSONL trace is written there) or any callable sink (e.g.
+:class:`~repro.obs.sinks.ChromeTraceSink`,
+:class:`~repro.obs.metrics.BusMetrics`)::
+
+    with tracing("trace.jsonl"):
+        verify(check, setup=setup)
+
+Without code changes, set the ``REPRO_TRACE`` environment variable to a
+file path; every query then writes its events there::
 
     REPRO_TRACE=trace.jsonl python examples/quickstart.py
     python -c "from repro.obs import jsonl_to_chrome; \\
                jsonl_to_chrome('trace.jsonl', 'trace.json')"
     # load trace.json in chrome://tracing or https://ui.perfetto.dev
-
-``trace=`` accepts a path (a JSONL trace is written there), any callable
-sink (e.g. :class:`~repro.obs.sinks.ChromeTraceSink`,
-:class:`~repro.obs.metrics.BusMetrics`), or ``None`` (no explicit sink;
-the environment fallback still applies).
 """
 
 from __future__ import annotations

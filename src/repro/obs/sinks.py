@@ -1,8 +1,8 @@
 """Trace sinks: JSONL writer, Chrome trace-event exporter, summaries.
 
 A sink is any callable taking an :class:`~repro.obs.events.Event`. The
-writers here are the pluggable back-ends behind ``trace=`` arguments and
-the ``REPRO_TRACE`` environment variable:
+writers here are the pluggable back-ends behind :func:`repro.obs.tracing`
+and the ``REPRO_TRACE`` environment variable:
 
 - :class:`JsonlTraceWriter` — one JSON object per line, append-order =
   emission order. The stable interchange format; cheap to write, easy to

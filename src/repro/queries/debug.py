@@ -18,11 +18,9 @@ label); Python-embedded SDSL code can call it explicitly.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, List, Optional, Tuple
 
 from repro.obs import tracing
-from repro.obs.events import BUS
 from repro.smt import terms as T
 from repro.smt.solver import SmtResult, SmtSolver
 from repro.solver.budget import Budget
@@ -38,6 +36,7 @@ from repro.sym.values import (
 from repro.vm.context import VM
 from repro.vm.errors import AssertionFailure
 from repro.queries.outcome import QueryOutcome
+from repro.queries.queries import _charged, _check, _query_span, _unknown
 
 _sessions: List["DebugSession"] = []
 
@@ -90,11 +89,7 @@ def relax(value, label):
 
 def debug(thunk: Callable[[], object],
           predicate: Optional[Callable[[object], bool]] = None,
-          max_conflicts: Optional[int] = None,
-          budget: Optional[Budget] = None,
-          trace=None,
-          certify: Optional[bool] = None,
-          analyze: Optional[bool] = None) -> QueryOutcome:
+          budget: Optional[Budget] = None) -> QueryOutcome:
     """Localize the failure of `thunk` to a minimal core of expressions.
 
     Returns a ``sat`` outcome whose ``core`` lists the labels of a minimal
@@ -105,22 +100,16 @@ def debug(thunk: Callable[[], object],
     the budget trips mid-minimization, the outcome is still ``sat`` with
     the smallest core proven so far, plus the trip's ``report`` and a
     message noting the core may not be minimal. Only an exhaustion during
-    the *initial* check yields ``unknown``. `trace` attaches an
-    observability sink exactly as in :func:`repro.queries.queries.solve`,
-    and `certify` likewise enables trust-but-verify mode — in this query
-    it additionally re-proves the minimized core unsat on a fresh solver
-    before the core is reported. `analyze` enables the pre-solver
-    sanitizer as in :func:`repro.queries.queries.solve`.
+    the *initial* check yields ``unknown``. Under ``REPRO_CERTIFY=1`` the
+    minimized core is also re-proved unsat on a fresh solver before it is
+    reported.
     """
-    from repro.queries.queries import _query_span
-    with tracing(trace), _query_span("query.debug") as span:
-        span.outcome = outcome = _debug(thunk, predicate, max_conflicts,
-                                        budget, certify, analyze)
+    with tracing(), _query_span("query.debug") as span:
+        span.outcome = outcome = _debug(thunk, predicate, budget)
         return outcome
 
 
-def _debug(thunk, predicate, max_conflicts, budget,
-           certify=None, analyze=None) -> QueryOutcome:
+def _debug(thunk, predicate, budget) -> QueryOutcome:
     if predicate is None:
         predicate = lambda value: True  # relax every primitive
     with VM() as vm, DebugSession(predicate) as session:
@@ -136,47 +125,23 @@ def _debug(thunk, predicate, max_conflicts, budget,
             return QueryOutcome(
                 "unknown", stats=vm.stats,
                 message="failure is independent of any relaxable expression")
-        solver = SmtSolver(max_conflicts=max_conflicts, budget=budget,
-                           certify=certify, analyze=analyze)
+        solver = SmtSolver(budget=budget)
         for assertion in vm.assertions:
             solver.add_assertion(assertion)
         selectors = [selector for _, selector in session.relaxations]
         label_of = {selector: label for label, selector in session.relaxations}
-        # Solver effort flows in through the event bus: each check emits
-        # one `smt.check` span whose end event carries the CheckStats
-        # delta, and the stats listener accumulates them — the same
-        # emission path that feeds tracers, metrics, and the profiler.
-        started = time.perf_counter()
-        unsubscribe = BUS.subscribe(vm.stats.check_listener)
-        try:
-            result = solver.check(selectors)
-        finally:
-            unsubscribe()
-            vm.stats.solver_seconds += time.perf_counter() - started
+        result = _check(solver, vm, selectors)
         if result is SmtResult.SAT:
             return QueryOutcome("unsat", stats=vm.stats,
                                 message="no assertion failure to debug")
         if result is SmtResult.UNKNOWN:
-            report = solver.last_report
-            message = ""
-            if report is not None:
-                message = (f"budget exhausted: {report.reason}"
-                           f" ({report.phase} phase)")
-            return QueryOutcome("unknown", stats=vm.stats,
-                                message=message, report=report)
+            return _unknown(vm, solver)
         # Deletion minimization runs many checks on the same persistent
-        # solver; the listener stays subscribed for the whole section and
-        # sums their per-check deltas (equal to the cumulative delta).
-        # minimize_core is anytime: on budget exhaustion it returns the
-        # smallest core established so far and leaves the trip report in
-        # solver.last_report.
-        started = time.perf_counter()
-        unsubscribe = BUS.subscribe(vm.stats.check_listener)
-        try:
+        # solver, all charged to the query. minimize_core is anytime: on
+        # budget exhaustion it returns the smallest core established so
+        # far and leaves the trip report in solver.last_report.
+        with _charged(solver, vm):
             core = solver.minimize_core()
-        finally:
-            unsubscribe()
-            vm.stats.solver_seconds += time.perf_counter() - started
         labels = [label_of[selector] for selector in core
                   if selector in label_of]
         outcome = QueryOutcome("sat", core=labels, stats=vm.stats)

@@ -13,6 +13,14 @@ store α, and the query then asks the solver:
 Queries return a :class:`~repro.queries.outcome.QueryOutcome` carrying the
 model (or counterexample), the evaluation statistics (Table 4's columns),
 and solver timing.
+
+The only solver configuration a query takes as an argument is its
+resource limits: ``budget`` (and CEGIS's per-iteration caps). The
+deployment switches are environment variables read where they act:
+``REPRO_CERTIFY`` and ``REPRO_ANALYZE`` by
+:class:`~repro.smt.solver.SmtSolver`, ``REPRO_TRACE`` by
+:func:`repro.obs.tracing`. To trace one call, wrap it in
+``with tracing(sink):``.
 """
 
 from __future__ import annotations
@@ -44,23 +52,29 @@ def _run(thunk: Callable[[], object], vm: VM):
         vm.stats.stop()
 
 
+@contextmanager
+def _charged(solver: SmtSolver, vm: VM):
+    """Charge the solver work of the ``with`` block to ``vm.stats``.
+
+    The block's wall time goes to ``solver_seconds`` and the growth of
+    ``solver.cumulative`` to the effort counters, so every check the block
+    makes counts, the probes of ``minimize_core`` included. A check that
+    raises mid-solve still counts: ``SmtSolver.check`` records its delta
+    in its own ``finally`` block.
+    """
+    before = solver.cumulative.copy()
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        vm.stats.solver_seconds += time.perf_counter() - started
+        vm.stats.record_check(solver.cumulative - before)
+
+
 def _check(solver: SmtSolver, vm: VM,
            assumptions: Sequence[T.Term] = ()) -> SmtResult:
-    # The query's EvalStats listens on the event bus for the duration of
-    # the check: SmtSolver.check publishes one `smt.check` span whose end
-    # event carries the CheckStats delta, and that single emission path
-    # feeds the stats here, the profiler, and any subscribed trace sinks
-    # alike. try/finally: a check that raises mid-solve (cancellation
-    # delivered as an exception, KeyboardInterrupt, encoder errors) must
-    # still record its partial effort — SmtSolver.check emits the end
-    # event from its own finally block, so the delta is never stale.
-    started = time.perf_counter()
-    unsubscribe = BUS.subscribe(vm.stats.check_listener)
-    try:
+    with _charged(solver, vm):
         return solver.check(assumptions)
-    finally:
-        unsubscribe()
-        vm.stats.solver_seconds += time.perf_counter() - started
 
 
 @contextmanager
@@ -97,45 +111,24 @@ def _unknown(vm: VM, solver: SmtSolver, message: str = "") -> QueryOutcome:
 
 
 def solve(thunk: Callable[[], object],
-          max_conflicts: Optional[int] = None,
-          budget: Optional[Budget] = None,
-          trace=None,
-          certify: Optional[bool] = None,
-          analyze: Optional[bool] = None) -> QueryOutcome:
+          budget: Optional[Budget] = None) -> QueryOutcome:
     """Find an interpretation under which the thunk's assertions all hold.
 
     `budget` bounds the whole query (encoding and solving); on exhaustion
     the outcome is ``unknown`` with a populated ``report``.
-
-    `trace` attaches an observability sink for the query's duration: a
-    path writes JSONL trace events there, a callable is subscribed to the
-    event bus directly, and ``None`` defers to the ``REPRO_TRACE``
-    environment variable (no-op when unset).
-
-    `certify` turns on trust-but-verify mode for the query's solver: a
-    DRUP proof is logged and every answer is independently re-checked
-    (see :mod:`repro.solver.certify`). ``None`` defers to the
-    ``REPRO_CERTIFY`` environment variable.
-
-    `analyze` turns on the pre-solver static-analysis sanitizer
-    (:mod:`repro.analysis`): each asserted formula is rewritten through
-    abstract interpretation before bit-blasting. ``None`` defers to the
-    ``REPRO_ANALYZE`` environment variable.
     """
-    with tracing(trace), _query_span("query.solve") as span:
-        span.outcome = outcome = _solve(thunk, max_conflicts, budget,
-                                        certify, analyze)
+    with tracing(), _query_span("query.solve") as span:
+        span.outcome = outcome = _solve(thunk, budget)
         return outcome
 
 
-def _solve(thunk, max_conflicts, budget, certify, analyze) -> QueryOutcome:
+def _solve(thunk, budget) -> QueryOutcome:
     with VM() as vm:
         failed, _ = _run(thunk, vm)
         if failed:
             return QueryOutcome("unsat", stats=vm.stats,
                                 message="execution fails on every path")
-        solver = SmtSolver(max_conflicts=max_conflicts, budget=budget,
-                           certify=certify, analyze=analyze)
+        solver = SmtSolver(budget=budget)
         for assertion in vm.assertions:
             solver.add_assertion(assertion)
         result = _check(solver, vm)
@@ -149,11 +142,7 @@ def _solve(thunk, max_conflicts, budget, certify, analyze) -> QueryOutcome:
 
 def verify(thunk: Callable[[], object],
            setup: Optional[Callable[[], object]] = None,
-           max_conflicts: Optional[int] = None,
-           budget: Optional[Budget] = None,
-           trace=None,
-           certify: Optional[bool] = None,
-           analyze: Optional[bool] = None) -> QueryOutcome:
+           budget: Optional[Budget] = None) -> QueryOutcome:
     """Find a counterexample: an interpretation violating some assertion.
 
     Assertions made by `setup` (and, in Rosette, any assertions made before
@@ -161,17 +150,14 @@ def verify(thunk: Callable[[], object],
     satisfy; assertions made by `thunk` are the verification targets. A
     `sat` outcome means the property FAILS (the model is the
     counterexample); `unsat` means the assertions hold for every input —
-    the paper's "no counterexample found". `trace`, `certify`, and
-    `analyze` are as in :func:`solve`.
+    the paper's "no counterexample found". `budget` is as in :func:`solve`.
     """
-    with tracing(trace), _query_span("query.verify") as span:
-        span.outcome = outcome = _verify(thunk, setup, max_conflicts,
-                                         budget, certify, analyze)
+    with tracing(), _query_span("query.verify") as span:
+        span.outcome = outcome = _verify(thunk, setup, budget)
         return outcome
 
 
-def _verify(thunk, setup, max_conflicts, budget, certify,
-            analyze) -> QueryOutcome:
+def _verify(thunk, setup, budget) -> QueryOutcome:
     with VM() as vm:
         if setup is not None:
             setup_failed, _ = _run(setup, vm)
@@ -190,8 +176,7 @@ def _verify(thunk, setup, max_conflicts, budget, certify,
         if not targets:
             return QueryOutcome("unsat", stats=vm.stats,
                                 message="no assertions reachable")
-        solver = SmtSolver(max_conflicts=max_conflicts, budget=budget,
-                           certify=certify, analyze=analyze)
+        solver = SmtSolver(budget=budget)
         for assumption in assumptions:
             solver.add_assertion(assumption)
         solver.add_assertion(T.mk_or(*[T.mk_not(a) for a in targets]))
@@ -224,11 +209,8 @@ def _input_terms(inputs: Iterable) -> List[T.Term]:
 
 def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
           max_iterations: int = 64,
-          max_conflicts: Optional[int] = None,
           budget: Optional[Budget] = None,
-          iteration_budget: Optional[dict] = None,
-          certify: Optional[bool] = None,
-          analyze: Optional[bool] = None) -> QueryOutcome:
+          iteration_budget: Optional[dict] = None) -> QueryOutcome:
     """Counterexample-guided inductive synthesis of ∃holes ∀inputs. goal.
 
     Counterexamples are *substituted* into the goal formula — the term
@@ -260,10 +242,8 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
     inputs = dict.fromkeys(input_terms)
     hole_terms = [var for var in T.term_vars(goal) if var not in inputs]
     examples: List[dict] = [{var: _default_value(var) for var in inputs}]
-    guess_solver = SmtSolver(max_conflicts=max_conflicts, budget=budget,
-                             certify=certify, analyze=analyze)
-    check_solver = SmtSolver(max_conflicts=max_conflicts, budget=budget,
-                             certify=certify, analyze=analyze)
+    guess_solver = SmtSolver(budget=budget)
+    check_solver = SmtSolver(budget=budget)
 
     def _exhausted(solver: SmtSolver, phase: str) -> QueryOutcome:
         outcome = _unknown(vm, solver)
@@ -350,30 +330,24 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
 def synthesize(inputs: Sequence, thunk: Callable[[], object],
                setup: Optional[Callable[[], object]] = None,
                max_iterations: int = 64,
-               max_conflicts: Optional[int] = None,
                budget: Optional[Budget] = None,
-               iteration_budget: Optional[dict] = None,
-               trace=None,
-               certify: Optional[bool] = None,
-               analyze: Optional[bool] = None) -> QueryOutcome:
+               iteration_budget: Optional[dict] = None) -> QueryOutcome:
     """CEGIS synthesis: make the assertions hold for *all* `inputs`.
 
     `inputs` are the universally quantified symbolic constants (the paper's
     ``(synthesize [input] expr)`` form); every other symbolic constant in
     the assertions is an existentially quantified hole. Assertions made by
     `setup` are input preconditions: the goal is ∀inputs. pre ⇒ post.
-    See :func:`cegis` for the `budget`/`iteration_budget` semantics and
-    :func:`solve` for `trace`, `certify`, and `analyze`.
+    See :func:`cegis` for the `budget`/`iteration_budget` semantics.
     """
-    with tracing(trace), _query_span("query.synthesize") as span:
+    with tracing(), _query_span("query.synthesize") as span:
         span.outcome = outcome = _synthesize(
-            inputs, thunk, setup, max_iterations, max_conflicts, budget,
-            iteration_budget, certify, analyze)
+            inputs, thunk, setup, max_iterations, budget, iteration_budget)
         return outcome
 
 
-def _synthesize(inputs, thunk, setup, max_iterations, max_conflicts,
-                budget, iteration_budget, certify, analyze) -> QueryOutcome:
+def _synthesize(inputs, thunk, setup, max_iterations, budget,
+                iteration_budget) -> QueryOutcome:
     with VM() as vm:
         if setup is not None:
             setup_failed, _ = _run(setup, vm)
@@ -392,11 +366,8 @@ def _synthesize(inputs, thunk, setup, max_iterations, max_conflicts,
         goal = T.mk_implies(pre, post)
         return cegis(goal, _input_terms(inputs), vm,
                      max_iterations=max_iterations,
-                     max_conflicts=max_conflicts,
                      budget=budget,
-                     iteration_budget=iteration_budget,
-                     certify=certify,
-                     analyze=analyze)
+                     iteration_budget=iteration_budget)
 
 
 def _default_value(var: T.Term):

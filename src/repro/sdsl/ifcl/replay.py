@@ -109,22 +109,18 @@ def replay_attack(semantics: Semantics,
 
 
 def check_attack(semantics: Semantics, length: int,
-                 max_conflicts: Optional[int] = None,
-                 budget=None,
-                 certify: Optional[bool] = None) -> Optional[ReplayResult]:
+                 budget=None) -> Optional[ReplayResult]:
     """Find an attack with the verifier and validate it by concrete replay.
 
     Returns the replay result (with ``distinguishable=True`` if everything
     is consistent), or None when the machine is secure at this bound (or
-    the `budget` ran out before the verifier could decide). `certify`
-    enables trust-but-verify solving for the underlying verify query.
+    the `budget` ran out before the verifier could decide).
     """
     from repro.queries import verify
     from repro.sdsl.ifcl.verify import eeni_thunks
 
     setup, check, program = eeni_thunks(semantics, length)
-    outcome = verify(check, setup=setup, max_conflicts=max_conflicts,
-                     budget=budget, certify=certify)
+    outcome = verify(check, setup=setup, budget=budget)
     if outcome.status != "sat":
         return None
     attack = decode_attack(program, outcome.model)

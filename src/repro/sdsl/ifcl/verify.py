@@ -156,21 +156,14 @@ def eeni_thunks(semantics: Semantics, length: int):
 
 
 def eeni_check(semantics: Semantics, length: int,
-               max_conflicts: Optional[int] = None,
-               budget: Optional[Budget] = None,
-               trace=None,
-               certify: Optional[bool] = None) -> EENIResult:
+               budget: Optional[Budget] = None) -> EENIResult:
     """Run the bounded EENI verifier for one machine and bound.
 
     `budget` bounds the query; a trip yields ``unknown`` (neither secure
     nor insecure) with the :class:`~repro.queries.ResourceReport` attached.
-    `trace` (a JSONL path or a callable) attaches an observability sink
-    for the query, and `certify` enables trust-but-verify solving, both
-    as in :func:`repro.queries.queries.verify`.
     """
     setup, check, program = eeni_thunks(semantics, length)
-    outcome = verify(check, setup=setup, max_conflicts=max_conflicts,
-                     budget=budget, trace=trace, certify=certify)
+    outcome = verify(check, setup=setup, budget=budget)
     if outcome.status == "sat":
         return EENIResult(machine=semantics.name, length=length,
                           status="insecure",

@@ -15,9 +15,9 @@ a *synthesis* benchmark fills a sketch's holes by CEGIS (expect ``sat``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import tracing
 from repro.queries import Budget, QueryOutcome, synthesize, verify
 from repro.sym import fresh_int, ops
 from repro.sym.values import SymInt
@@ -53,8 +53,7 @@ class SynthClBenchmark:
 # ---------------------------------------------------------------------------
 
 def _mm_verify(version: int, dims: Sequence[Tuple[int, int, int]],
-               budget: Optional[Budget] = None,
-               certify: Optional[bool] = None) -> QueryOutcome:
+               budget: Optional[Budget] = None) -> QueryOutcome:
     implementation = {1: mm.mm_parallel_v1, 2: mm.mm_parallel_v2}[version]
     last: Optional[QueryOutcome] = None
     for n, p, m in dims:
@@ -63,7 +62,7 @@ def _mm_verify(version: int, dims: Sequence[Tuple[int, int, int]],
             b = _symbolic_array("b", p * m)
             _assert_equal_arrays(mm.mm_reference(a, b, n, p, m),
                                  implementation(a, b, n, p, m))
-        outcome = verify(thunk, budget=budget, certify=certify)
+        outcome = verify(thunk, budget=budget)
         last = _merge_outcomes(last, outcome)
         if outcome.status != "unsat":
             return last  # counterexample or exhausted budget: stop early
@@ -71,8 +70,7 @@ def _mm_verify(version: int, dims: Sequence[Tuple[int, int, int]],
 
 
 def _mm_synthesize(dims: Sequence[Tuple[int, int, int]],
-                   budget: Optional[Budget] = None,
-                   certify: Optional[bool] = None) -> QueryOutcome:
+                   budget: Optional[Budget] = None) -> QueryOutcome:
     n, p, m = dims[0]
     inputs: List = []
 
@@ -82,8 +80,7 @@ def _mm_synthesize(dims: Sequence[Tuple[int, int, int]],
         inputs.extend(a + b)
         _assert_equal_arrays(mm.mm_reference(a, b, n, p, m),
                              mm.mm_sketch(a, b, n, p, m))
-    return synthesize(_LazyInputs(inputs), thunk, budget=budget,
-                      certify=certify)
+    return synthesize(_LazyInputs(inputs), thunk, budget=budget)
 
 
 class _LazyInputs:
@@ -101,8 +98,7 @@ class _LazyInputs:
 # ---------------------------------------------------------------------------
 
 def _sf_verify(version: int, sizes: Sequence[Tuple[int, int]],
-               budget: Optional[Budget] = None,
-               certify: Optional[bool] = None) -> QueryOutcome:
+               budget: Optional[Budget] = None) -> QueryOutcome:
     implementation = sobel.SOBEL_VERSIONS[version]
     last: Optional[QueryOutcome] = None
     for w, h in sizes:
@@ -110,7 +106,7 @@ def _sf_verify(version: int, sizes: Sequence[Tuple[int, int]],
             image = _symbolic_array("px", w * h * sobel.CHANNELS)
             _assert_equal_arrays(sobel.sobel_reference(image, w, h),
                                  implementation(image, w, h))
-        outcome = verify(thunk, budget=budget, certify=certify)
+        outcome = verify(thunk, budget=budget)
         last = _merge_outcomes(last, outcome)
         if outcome.status != "unsat":
             return last
@@ -118,8 +114,7 @@ def _sf_verify(version: int, sizes: Sequence[Tuple[int, int]],
 
 
 def _sf_synthesize(sizes: Sequence[Tuple[int, int]],
-                   budget: Optional[Budget] = None,
-                   certify: Optional[bool] = None) -> QueryOutcome:
+                   budget: Optional[Budget] = None) -> QueryOutcome:
     w, h = sizes[0]
     inputs: List = []
 
@@ -128,8 +123,7 @@ def _sf_synthesize(sizes: Sequence[Tuple[int, int]],
         inputs.extend(image)
         _assert_equal_arrays(sobel.sobel_reference(image, w, h),
                              sobel.sobel_sketch(image, w, h))
-    return synthesize(_LazyInputs(inputs), thunk, budget=budget,
-                      certify=certify)
+    return synthesize(_LazyInputs(inputs), thunk, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +131,7 @@ def _sf_synthesize(sizes: Sequence[Tuple[int, int]],
 # ---------------------------------------------------------------------------
 
 def _fwt_verify(version: int, exponents: Sequence[int],
-                budget: Optional[Budget] = None,
-                certify: Optional[bool] = None) -> QueryOutcome:
+                budget: Optional[Budget] = None) -> QueryOutcome:
     implementation = {1: fwt.fwt_parallel_v1, 2: fwt.fwt_parallel_v2}[version]
     last: Optional[QueryOutcome] = None
     for k in exponents:
@@ -146,7 +139,7 @@ def _fwt_verify(version: int, exponents: Sequence[int],
             data = _symbolic_array("x", 1 << k)
             _assert_equal_arrays(fwt.fwt_reference(data),
                                  implementation(data))
-        outcome = verify(thunk, budget=budget, certify=certify)
+        outcome = verify(thunk, budget=budget)
         last = _merge_outcomes(last, outcome)
         if outcome.status != "unsat":
             return last
@@ -154,8 +147,7 @@ def _fwt_verify(version: int, exponents: Sequence[int],
 
 
 def _fwt_synthesize(exponents: Sequence[int],
-                    budget: Optional[Budget] = None,
-                    certify: Optional[bool] = None) -> QueryOutcome:
+                    budget: Optional[Budget] = None) -> QueryOutcome:
     k = exponents[0]
     inputs: List = []
 
@@ -163,32 +155,13 @@ def _fwt_synthesize(exponents: Sequence[int],
         data = _symbolic_array("x", 1 << k)
         inputs.extend(data)
         _assert_equal_arrays(fwt.fwt_reference(data), fwt.fwt_sketch(data))
-    return synthesize(_LazyInputs(inputs), thunk, budget=budget,
-                      certify=certify)
+    return synthesize(_LazyInputs(inputs), thunk, budget=budget)
 
 
 def _merge_outcomes(accumulated: Optional[QueryOutcome],
                     outcome: QueryOutcome) -> QueryOutcome:
-    if accumulated is None:
-        return outcome
-    outcome.stats.joins += accumulated.stats.joins
-    outcome.stats.unions_created += accumulated.stats.unions_created
-    outcome.stats.union_cardinality_sum += \
-        accumulated.stats.union_cardinality_sum
-    outcome.stats.max_union_cardinality = max(
-        outcome.stats.max_union_cardinality,
-        accumulated.stats.max_union_cardinality)
-    outcome.stats.svm_seconds += accumulated.stats.svm_seconds
-    outcome.stats.solver_seconds += accumulated.stats.solver_seconds
-    outcome.stats.solver_checks += accumulated.stats.solver_checks
-    outcome.stats.solver_conflicts += accumulated.stats.solver_conflicts
-    outcome.stats.solver_decisions += accumulated.stats.solver_decisions
-    outcome.stats.solver_propagations += accumulated.stats.solver_propagations
-    outcome.stats.solver_learned += accumulated.stats.solver_learned
-    outcome.stats.encode_cache_hits += accumulated.stats.encode_cache_hits
-    outcome.stats.encode_cache_misses += accumulated.stats.encode_cache_misses
-    outcome.stats.budget_trips += accumulated.stats.budget_trips
-    outcome.stats.certified_checks += accumulated.stats.certified_checks
+    if accumulated is not None:
+        outcome.stats.add(accumulated.stats)
     return outcome
 
 
@@ -211,75 +184,41 @@ def _register(name: str, kind: str, bounds, paper_bounds: str, run) -> None:
 
 
 _register("MM1v", "verify", _MM_DIMS,
-          "n,p,m ∈ {4,8,12,16}, 32-bit",
-          lambda bounds, budget=None, certify=None:
-              _mm_verify(1, bounds, budget, certify))
+          "n,p,m ∈ {4,8,12,16}, 32-bit", partial(_mm_verify, 1))
 _register("MM2v", "verify", _MM_DIMS,
-          "n,p,m ∈ {4,8,12,16}, 32-bit",
-          lambda bounds, budget=None, certify=None:
-              _mm_verify(2, bounds, budget, certify))
+          "n,p,m ∈ {4,8,12,16}, 32-bit", partial(_mm_verify, 2))
 _register("MM2s", "synthesize", [(2, 3, 2)],
-          "n,p,m ∈ {8}, 8-bit",
-          lambda bounds, budget=None, certify=None:
-              _mm_synthesize(bounds, budget, certify))
+          "n,p,m ∈ {8}, 8-bit", _mm_synthesize)
 for _v in (1, 2, 3, 4, 5):
     _register(f"SF{_v}v", "verify", _SF_SIZES,
-              "w,h ∈ {1..9}, 32-bit",
-              lambda bounds, budget=None, certify=None, _v=_v:
-                  _sf_verify(_v, bounds, budget, certify))
+              "w,h ∈ {1..9}, 32-bit", partial(_sf_verify, _v))
 for _v in (6, 7):
     _register(f"SF{_v}v", "verify", _SF_INTERIOR,
-              "w,h ∈ {3..9}, 32-bit",
-              lambda bounds, budget=None, certify=None, _v=_v:
-                  _sf_verify(_v, bounds, budget, certify))
+              "w,h ∈ {3..9}, 32-bit", partial(_sf_verify, _v))
 _register("SF3s", "synthesize", [(2, 2)],
-          "w,h ∈ {1..4}, 8-bit",
-          lambda bounds, budget=None, certify=None:
-              _sf_synthesize(bounds, budget, certify))
+          "w,h ∈ {1..4}, 8-bit", _sf_synthesize)
 _register("SF7s", "synthesize", [(3, 3)],
-          "w,h ∈ {4}, 8-bit",
-          lambda bounds, budget=None, certify=None:
-              _sf_synthesize(bounds, budget, certify))
+          "w,h ∈ {4}, 8-bit", _sf_synthesize)
 _register("FWT1v", "verify", _FWT_EXPONENTS,
-          "2^k, k ∈ {0..6}, 32-bit",
-          lambda bounds, budget=None, certify=None:
-              _fwt_verify(1, bounds, budget, certify))
+          "2^k, k ∈ {0..6}, 32-bit", partial(_fwt_verify, 1))
 _register("FWT2v", "verify", _FWT_EXPONENTS,
-          "2^k, k ∈ {0..6}, 32-bit",
-          lambda bounds, budget=None, certify=None:
-              _fwt_verify(2, bounds, budget, certify))
+          "2^k, k ∈ {0..6}, 32-bit", partial(_fwt_verify, 2))
 _register("FWT1s", "synthesize", [3],
-          "2^k, k ∈ {3}, 8-bit",
-          lambda bounds, budget=None, certify=None:
-              _fwt_synthesize(bounds, budget, certify))
+          "2^k, k ∈ {3}, 8-bit", _fwt_synthesize)
 _register("FWT2s", "synthesize", [2],
-          "2^k, k ∈ {3}, 8-bit",
-          lambda bounds, budget=None, certify=None:
-              _fwt_synthesize(bounds, budget, certify))
+          "2^k, k ∈ {3}, 8-bit", _fwt_synthesize)
 
 
 def run_benchmark(name: str, bounds=None,
-                  budget: Optional[Budget] = None,
-                  trace=None,
-                  certify: Optional[bool] = None) -> QueryOutcome:
+                  budget: Optional[Budget] = None) -> QueryOutcome:
     """Run one Table 1 benchmark; returns its QueryOutcome with stats.
 
     `budget` caps the whole benchmark: verification sweeps share it across
     every bound in the sweep (and stop at the first unknown), and synthesis
     benchmarks hand it to CEGIS. On exhaustion the outcome is ``unknown``
-    with a :class:`~repro.queries.ResourceReport`.
-
-    `trace` attaches an observability sink (a JSONL path or a callable)
-    for the whole benchmark: the sink is subscribed here, at driver level,
-    so a verification sweep's many queries land in one trace instead of
-    each query reopening (and truncating) the file.
-
-    `certify` enables trust-but-verify mode on every solver the benchmark
-    creates (DRUP proof + model/core certification; see
-    :mod:`repro.solver.certify`); ``None`` defers to ``REPRO_CERTIFY``.
+    with a :class:`~repro.queries.ResourceReport`. To trace a whole sweep
+    into one file, call this inside ``with repro.obs.tracing(path):``.
     """
     benchmark = SYNTHCL_BENCHMARKS[name]
-    with tracing(trace):
-        return benchmark.run(
-            bounds if bounds is not None else benchmark.bounds,
-            budget=budget, certify=certify)
+    return benchmark.run(
+        bounds if bounds is not None else benchmark.bounds, budget=budget)

@@ -36,19 +36,13 @@ class WebSynthResult:
 
 def synthesize_xpath(root: HtmlNode, examples: Sequence[str],
                      length: Optional[int] = None,
-                     max_conflicts: Optional[int] = None,
-                     budget: Optional[Budget] = None,
-                     trace=None,
-                     certify: Optional[bool] = None) -> WebSynthResult:
+                     budget: Optional[Budget] = None) -> WebSynthResult:
     """Synthesize an XPath selecting every example text of `root`.
 
     `length` defaults to the depth of the example nodes (the synthetic
     sites plant all records at one depth); the tree's own depth is the
     natural upper bound noted in the paper. `budget` bounds the query; on
     exhaustion the result is ``unknown`` with the trip's ``report``.
-    `trace` (a JSONL path or a callable) attaches an observability sink
-    for the query, and `certify` enables trust-but-verify solving, both
-    as in :func:`repro.queries.queries.solve`.
     """
     if length is None:
         length = _example_depth(root, examples[0])
@@ -65,8 +59,7 @@ def synthesize_xpath(root: HtmlNode, examples: Sequence[str],
             reached = xpath_selects(root, xpath, 0, example)
             assert_(reached, f"XPath must reach {example!r}")
 
-    outcome = solve(program, max_conflicts=max_conflicts, budget=budget,
-                    trace=trace, certify=certify)
+    outcome = solve(program, budget=budget)
     if outcome.status == "sat":
         return WebSynthResult(status="sat",
                               xpath=holder["xpath"].decode(outcome.model),

@@ -35,6 +35,7 @@ class SymbolicXPath:
 
     def __init__(self, vocabulary: Sequence[str], length: int):
         self.vocabulary = tuple(vocabulary)
+        self.index = {tag: i for i, tag in enumerate(self.vocabulary)}
         self.tokens: List[SymInt] = [fresh_int(f"tok{i}")
                                      for i in range(length)]
 
@@ -64,10 +65,9 @@ def xpath_selects(node: HtmlNode, xpath: SymbolicXPath, position: int,
         return node.text == target_text
     vm = context.current()
     token = xpath.tokens[position]
-    vocabulary_index = {tag: i for i, tag in enumerate(xpath.vocabulary)}
     reached = False
     for child in node.children:
-        child_matches = ops.num_eq(token, vocabulary_index[child.tag])
+        child_matches = ops.num_eq(token, xpath.index[child.tag])
         below = vm.branch(
             child_matches,
             lambda child=child: xpath_selects(child, xpath, position + 1,

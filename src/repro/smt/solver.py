@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import time
@@ -96,39 +96,19 @@ class CheckStats:
     sanitize_rewrites: int = 0
 
     def copy(self) -> "CheckStats":
-        return CheckStats(self.checks, self.conflicts, self.decisions,
-                          self.propagations, self.learned,
-                          self.encode_hits, self.encode_misses,
-                          self.seconds, self.tripped, self.certified,
-                          self.sanitize_rewrites)
+        return replace(self)
 
     def __sub__(self, other: "CheckStats") -> "CheckStats":
-        return CheckStats(
-            self.checks - other.checks,
-            self.conflicts - other.conflicts,
-            self.decisions - other.decisions,
-            self.propagations - other.propagations,
-            self.learned - other.learned,
-            self.encode_hits - other.encode_hits,
-            self.encode_misses - other.encode_misses,
-            self.seconds - other.seconds,
-            self.tripped - other.tripped,
-            self.certified - other.certified,
-            self.sanitize_rewrites - other.sanitize_rewrites)
+        return CheckStats(*[getattr(self, name) - getattr(other, name)
+                            for name in _CHECK_FIELDS])
 
     def __iadd__(self, other: "CheckStats") -> "CheckStats":
-        self.checks += other.checks
-        self.conflicts += other.conflicts
-        self.decisions += other.decisions
-        self.propagations += other.propagations
-        self.learned += other.learned
-        self.encode_hits += other.encode_hits
-        self.encode_misses += other.encode_misses
-        self.seconds += other.seconds
-        self.tripped += other.tripped
-        self.certified += other.certified
-        self.sanitize_rewrites += other.sanitize_rewrites
+        for name in _CHECK_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
+
+
+_CHECK_FIELDS = tuple(f.name for f in fields(CheckStats))
 
 
 class Model:
@@ -180,12 +160,10 @@ class _Scope:
 class SmtSolver:
     """Incremental satisfiability checks for boolean/bitvector formulas."""
 
-    def __init__(self, max_conflicts: Optional[int] = None,
-                 budget: Optional[Budget] = None,
+    def __init__(self, budget: Optional[Budget] = None,
                  certify: Optional[bool] = None,
                  analyze: Optional[bool] = None):
         self.sat = SatSolver()
-        self.sat.max_conflicts = max_conflicts
         # Trust-but-verify mode: with `certify` (or REPRO_CERTIFY=1), the
         # SAT layer logs a DRUP proof and every answer is independently
         # re-checked — SAT models clause-by-clause and term-by-term, UNSAT
@@ -378,12 +356,12 @@ class SmtSolver:
         in particular, when the assertions alone are unsatisfiable the core
         is empty — no subset of the assumptions is to blame.
 
-        On UNKNOWN — a tripped :class:`~repro.solver.budget.Budget`, a
-        cancelled token, or the legacy ``max_conflicts`` cap —
-        :attr:`last_report` carries the :class:`ResourceReport` naming the
-        limit and the spend. The :class:`CheckStats` delta is recorded in
-        a ``finally`` block, so accounting survives a check that raises
-        mid-solve (cancellation via exception, interrupts, encoder bugs).
+        On UNKNOWN — a tripped :class:`~repro.solver.budget.Budget` or a
+        cancelled token — :attr:`last_report` carries the
+        :class:`ResourceReport` naming the limit and the spend. The
+        :class:`CheckStats` delta is recorded in a ``finally`` block, so
+        accounting survives a check that raises mid-solve (cancellation via
+        exception, interrupts, encoder bugs).
         """
         self._last_core = []
         self._last_result = None   # a check that raises reports "error"
@@ -441,8 +419,10 @@ class SmtSolver:
                     self._certify_sat(act_lits + lits)
                 return self._finish(SmtResult.SAT)
             if result is SatResult.UNKNOWN:
+                # Only a budget stops the search short of an answer.
                 tripped = True
-                self.last_report = self._search_report(started)
+                self.last_report = self.budget.report(
+                    self.sat.interrupt_reason, phase="search")
                 return self._finish(SmtResult.UNKNOWN)
             core_lits = self.sat.unsat_core()
             if self.certify:
@@ -459,32 +439,7 @@ class SmtSolver:
                 result = self._last_result
                 BUS.end("smt.check", "smt",
                         result=result.value if result is not None else "error",
-                        checks=delta.checks,
-                        conflicts=delta.conflicts,
-                        decisions=delta.decisions,
-                        propagations=delta.propagations,
-                        learned=delta.learned,
-                        encode_hits=delta.encode_hits,
-                        encode_misses=delta.encode_misses,
-                        seconds=delta.seconds,
-                        tripped=delta.tripped,
-                        certified=delta.certified,
-                        sanitize_rewrites=delta.sanitize_rewrites)
-
-    def _search_report(self, started: float) -> ResourceReport:
-        """Describe a search-phase UNKNOWN (budget trip or conflict cap)."""
-        reason = self.sat.interrupt_reason
-        if self.budget is not None and reason is not None:
-            return self.budget.report(reason, phase="search")
-        # Legacy max_conflicts cap: report this check's own spend.
-        delta = self._stats_mark() - self._mark
-        return ResourceReport(
-            reason=reason or "conflicts", phase="search",
-            elapsed_seconds=time.perf_counter() - started,
-            conflicts=delta.conflicts,
-            propagations=delta.propagations,
-            learned=delta.learned,
-            limits={"max_conflicts": self.sat.max_conflicts})
+                        **asdict(delta))
 
     # ------------------------------------------------------------------
     # Certification (trust-but-verify)

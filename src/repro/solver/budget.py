@@ -126,8 +126,8 @@ class Budget:
     deadline).
     """
 
-    __slots__ = ("max_ms", "max_conflicts", "max_propagations",
-                 "max_learned", "token", "parent",
+    __slots__ = ("limit_ms", "limit_conflicts", "limit_propagations",
+                 "limit_learned", "token", "parent",
                  "spent_conflicts", "spent_propagations", "spent_learned",
                  "_t0", "_deadline")
 
@@ -137,10 +137,10 @@ class Budget:
                  learned: Optional[int] = None,
                  token: Optional[CancellationToken] = None,
                  parent: Optional["Budget"] = None):
-        self.max_ms = ms
-        self.max_conflicts = conflicts
-        self.max_propagations = propagations
-        self.max_learned = learned
+        self.limit_ms = ms
+        self.limit_conflicts = conflicts
+        self.limit_propagations = propagations
+        self.limit_learned = learned
         self.token = token
         self.parent = parent
         self.spent_conflicts = 0
@@ -169,8 +169,8 @@ class Budget:
         """Start the wall clock (idempotent); chains to the parent."""
         if self._t0 is None:
             self._t0 = time.perf_counter()
-            if self.max_ms is not None:
-                self._deadline = self._t0 + self.max_ms / 1000.0
+            if self.limit_ms is not None:
+                self._deadline = self._t0 + self.limit_ms / 1000.0
         if self.parent is not None:
             self.parent.start()
         return self
@@ -215,14 +215,14 @@ class Budget:
             token = budget.token
             if token is not None and token.cancelled:
                 return REASON_CANCELLED
-            if budget.max_conflicts is not None and \
-                    budget.spent_conflicts > budget.max_conflicts:
+            if budget.limit_conflicts is not None and \
+                    budget.spent_conflicts > budget.limit_conflicts:
                 return REASON_CONFLICTS
-            if budget.max_propagations is not None and \
-                    budget.spent_propagations > budget.max_propagations:
+            if budget.limit_propagations is not None and \
+                    budget.spent_propagations > budget.limit_propagations:
                 return REASON_PROPAGATIONS
-            if budget.max_learned is not None and \
-                    budget.spent_learned > budget.max_learned:
+            if budget.limit_learned is not None and \
+                    budget.spent_learned > budget.limit_learned:
                 return REASON_LEARNED
             if budget._deadline is not None and \
                     time.perf_counter() > budget._deadline:
@@ -236,14 +236,14 @@ class Budget:
 
     def limits(self) -> Dict[str, object]:
         out: Dict[str, object] = {}
-        if self.max_ms is not None:
-            out["ms"] = self.max_ms
-        if self.max_conflicts is not None:
-            out["conflicts"] = self.max_conflicts
-        if self.max_propagations is not None:
-            out["propagations"] = self.max_propagations
-        if self.max_learned is not None:
-            out["learned"] = self.max_learned
+        if self.limit_ms is not None:
+            out["ms"] = self.limit_ms
+        if self.limit_conflicts is not None:
+            out["conflicts"] = self.limit_conflicts
+        if self.limit_propagations is not None:
+            out["propagations"] = self.limit_propagations
+        if self.limit_learned is not None:
+            out["learned"] = self.limit_learned
         if self.parent is not None:
             out["parent"] = self.parent.limits()
         return out

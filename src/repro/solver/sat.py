@@ -120,7 +120,6 @@ class SatSolver:
         self.num_decisions = 0
         self.num_propagations = 0
         self.num_learned = 0
-        self.max_conflicts: Optional[int] = None
         # Resource governance: when set, the search charges this budget
         # and returns UNKNOWN as soon as it trips; `interrupt_reason`
         # then names the limit (see repro.solver.budget).
@@ -586,9 +585,8 @@ class SatSolver:
     def solve(self, assumptions: Sequence[int] = ()) -> SatResult:
         """Solve under the given external assumption literals.
 
-        Returns UNKNOWN — never hangs — when :attr:`budget` trips or the
-        legacy :attr:`max_conflicts` cap is reached; :attr:`interrupt_reason`
-        records which budget limit was responsible.
+        Returns UNKNOWN — never hangs — when :attr:`budget` trips;
+        :attr:`interrupt_reason` records which budget limit was responsible.
         """
         bus = BUS
         if not bus.enabled:
@@ -640,10 +638,6 @@ class SatSolver:
             if status is not None:
                 self._cancel_until(0)
                 return status
-            if self.max_conflicts is not None and \
-                    self.num_conflicts - conflicts_at_start >= self.max_conflicts:
-                self._cancel_until(0)
-                return SatResult.UNKNOWN
             max_learnts = int(max_learnts * 1.1)
             self._cancel_until(0)
 
@@ -701,8 +695,6 @@ class SatSolver:
 
             if conflicts >= restart_limit:
                 return None  # restart
-            if self.max_conflicts is not None and conflicts >= self.max_conflicts:
-                return None
             if budget is not None:
                 # Decision-loop checkpoint: catches deadline expiry and
                 # cancellation on propagation-heavy runs with few conflicts.

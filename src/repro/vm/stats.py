@@ -7,7 +7,7 @@ module holds those counters; union counts are sourced from the counter
 embedded in :mod:`repro.sym.values` so that unions created outside an active
 VM are also visible.
 
-Queries additionally thread per-check *solver* statistics through here (see
+Queries additionally charge their solvers' effort here (see
 :meth:`EvalStats.record_check`): SAT conflicts/decisions/propagations,
 clauses learned, and bit-blasting encode-cache hits/misses. These are the
 measurements that make incremental-solving wins visible — an iterative
@@ -18,9 +18,26 @@ misses, and falling per-check conflict counts as learned clauses accumulate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.sym.values import UNION_COUNTERS
+
+#: The EvalStats counter each CheckStats field (repro.smt.solver) adds to.
+#: A check's own ``seconds`` has none: queries time the whole solver call,
+#: certification included, into ``solver_seconds``.
+_FROM_CHECK = {
+    "checks": "solver_checks",
+    "conflicts": "solver_conflicts",
+    "decisions": "solver_decisions",
+    "propagations": "solver_propagations",
+    "learned": "solver_learned",
+    "encode_hits": "encode_cache_hits",
+    "encode_misses": "encode_cache_misses",
+    "seconds": None,
+    "tripped": "budget_trips",
+    "certified": "certified_checks",
+    "sanitize_rewrites": "sanitize_rewrites",
+}
 
 
 @dataclass
@@ -33,8 +50,8 @@ class EvalStats:
     max_union_cardinality: int = 0
     svm_seconds: float = 0.0
     solver_seconds: float = 0.0
-    # Solver-effort counters, accumulated from CheckStats deltas
-    # (repro.smt.solver) by record_check.
+    # Solver-effort counters, accumulated from CheckStats deltas by
+    # record_check.
     solver_checks: int = 0
     solver_conflicts: int = 0
     solver_decisions: int = 0
@@ -71,48 +88,31 @@ class EvalStats:
         self.max_union_cardinality = max(self.max_union_cardinality, observed)
         UNION_COUNTERS.max_cardinality = max(self._max_base, observed)
 
-    def record_check(self, check) -> None:
-        """Accumulate a CheckStats-shaped delta from a solver check.
+    def record_check(self, delta) -> None:
+        """Add a :class:`repro.smt.solver.CheckStats` delta to the counters.
 
-        `check` is any object with the counter attributes of
-        :class:`repro.smt.solver.CheckStats` (duck-typed to keep this
-        module below the SMT layer in the import graph).
+        The delta's fields are read through :func:`dataclasses.fields`, so
+        this module stays below the SMT layer in the import graph, and a
+        CheckStats field missing from ``_FROM_CHECK`` fails loudly here.
         """
-        self.solver_checks += check.checks
-        self.solver_conflicts += check.conflicts
-        self.solver_decisions += check.decisions
-        self.solver_propagations += check.propagations
-        self.solver_learned += check.learned
-        self.encode_cache_hits += check.encode_hits
-        self.encode_cache_misses += check.encode_misses
-        # `tripped` arrived with resource budgets and `certified` with the
-        # certification layer; older CheckStats-shaped objects may carry
-        # neither.
-        self.budget_trips += getattr(check, "tripped", 0)
-        self.certified_checks += getattr(check, "certified", 0)
-        self.sanitize_rewrites += getattr(check, "sanitize_rewrites", 0)
+        for item in fields(delta):
+            target = _FROM_CHECK[item.name]
+            if target is not None:
+                setattr(self, target,
+                        getattr(self, target) + getattr(delta, item.name))
 
-    def check_listener(self, event) -> None:
-        """An event-bus sink accumulating ``smt.check`` span deltas.
+    def add(self, other: "EvalStats") -> None:
+        """Fold another evaluation's counters into these ones.
 
-        Queries subscribe this bound method around each solver check, so
-        the counters flow through the same emission path as every other
-        consumer (tracers, the profiler, metrics) instead of a private
-        side channel. Other events are ignored.
+        Every counter is summed except the union peak, which is a max.
         """
-        if event.name != "smt.check" or event.ph != "E":
-            return
-        args = event.args or {}
-        self.solver_checks += args.get("checks", 0)
-        self.solver_conflicts += args.get("conflicts", 0)
-        self.solver_decisions += args.get("decisions", 0)
-        self.solver_propagations += args.get("propagations", 0)
-        self.solver_learned += args.get("learned", 0)
-        self.encode_cache_hits += args.get("encode_hits", 0)
-        self.encode_cache_misses += args.get("encode_misses", 0)
-        self.budget_trips += args.get("tripped", 0)
-        self.certified_checks += args.get("certified", 0)
-        self.sanitize_rewrites += args.get("sanitize_rewrites", 0)
+        for item in fields(self):
+            name = item.name
+            if name.startswith("_"):
+                continue   # the open window's bookkeeping, not a counter
+            mine, theirs = getattr(self, name), getattr(other, name)
+            setattr(self, name, max(mine, theirs)
+                    if name == "max_union_cardinality" else mine + theirs)
 
     def row(self) -> dict:
         """A Table 4-shaped row."""

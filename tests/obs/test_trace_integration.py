@@ -142,7 +142,8 @@ class TestEnvCapture:
 class TestTraceArgument:
     def test_path_argument_writes_jsonl(self, tmp_path):
         jsonl_path = tmp_path / "q.jsonl"
-        outcome = solve(_factor_program, trace=str(jsonl_path))
+        with tracing(str(jsonl_path)):
+            outcome = solve(_factor_program)
         assert outcome.status == "sat"
         rows = load_jsonl_trace(jsonl_path)
         check_trace_invariants(rows)
@@ -153,7 +154,8 @@ class TestTraceArgument:
 
     def test_callable_argument_receives_events(self):
         sink = MemorySink()
-        outcome = verify(_factor_program, trace=sink)
+        with tracing(sink):
+            outcome = verify(_factor_program)
         assert outcome.status == "sat"  # a counterexample exists
         names = {e.name for e in sink.events}
         assert "query.verify" in names and "smt.check" in names
@@ -161,9 +163,9 @@ class TestTraceArgument:
 
     def test_query_span_reports_error_status(self, tmp_path):
         jsonl_path = tmp_path / "err.jsonl"
-        with pytest.raises(RuntimeError, match="boom"):
-            solve(lambda: (_ for _ in ()).throw(RuntimeError("boom")),
-                  trace=str(jsonl_path))
+        with pytest.raises(RuntimeError, match="boom"), \
+                tracing(str(jsonl_path)):
+            solve(lambda: (_ for _ in ()).throw(RuntimeError("boom")))
         rows = load_jsonl_trace(jsonl_path)
         check_trace_invariants(rows)  # spans still balanced
         assert rows[-1]["name"] == "query.solve"
@@ -174,8 +176,8 @@ class TestTraceArgument:
         from repro.sdsl.synthcl.bench import run_benchmark
 
         jsonl_path = tmp_path / "sweep.jsonl"
-        outcome = run_benchmark("SF1v", bounds=[(1, 1), (1, 2)],
-                                trace=str(jsonl_path))
+        with tracing(str(jsonl_path)):
+            outcome = run_benchmark("SF1v", bounds=[(1, 1), (1, 2)])
         assert outcome.status == "unsat"
         rows = load_jsonl_trace(jsonl_path)
         check_trace_invariants(rows)
@@ -185,12 +187,32 @@ class TestTraceArgument:
 
 
 class TestStatsEquivalence:
+    def test_untraced_query_searches_with_the_bus_off(self, monkeypatch):
+        """With no sink, the SAT search runs with the bus disabled, so it
+        builds no events (the bus's "disabled is free" promise)."""
+        from repro.solver.sat import SatSolver
+
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        reset_env_sink()
+        enabled = []
+        search = SatSolver._solve
+
+        def watched(self, *args, **kwargs):
+            enabled.append(BUS.enabled)
+            return search(self, *args, **kwargs)
+
+        monkeypatch.setattr(SatSolver, "_solve", watched)
+        outcome = verify(_factor_program)
+        assert outcome.status == "sat"
+        assert enabled and not any(enabled)
+
     def test_stats_identical_with_and_without_tracing(self):
         """Tracing must observe, not perturb: the rebased stats pipeline
         yields the same numbers whether or not a sink is attached."""
         baseline = solve(_factor_program)
         sink = MemorySink()
-        traced = solve(_factor_program, trace=sink)
+        with tracing(sink):
+            traced = solve(_factor_program)
         assert baseline.status == traced.status == "sat"
         assert baseline.stats.solver_checks == traced.stats.solver_checks
         assert baseline.stats.solver_conflicts == \
@@ -203,7 +225,8 @@ class TestStatsEquivalence:
     def test_check_events_match_query_stats(self):
         """The smt.check end events sum to exactly the query's stats."""
         sink = MemorySink()
-        outcome = solve(_factor_program, trace=sink)
+        with tracing(sink):
+            outcome = solve(_factor_program)
         ends = [e for e in sink.events
                 if e.name == "smt.check" and e.ph == "E"]
         assert sum(e.args["checks"] for e in ends) == \

@@ -1,4 +1,6 @@
-"""certify= threading through solve/verify/synthesize/debug and the stats."""
+"""REPRO_CERTIFY reaching solve/verify/synthesize/debug, and the stats."""
+
+import pytest
 
 from repro.obs.metrics import BusMetrics
 from repro.queries import solve, synthesize, verify
@@ -20,25 +22,30 @@ class _LazyInputs:
         return iter(self._backing)
 
 
+@pytest.fixture
+def certified(monkeypatch):
+    monkeypatch.setenv("REPRO_CERTIFY", "1")
+
+
 class TestCertifiedQueries:
-    def test_solve_certified(self):
-        outcome = solve(lambda: assert_(_sym("cq_a") + 1 == 5), certify=True)
+    def test_solve_certified(self, certified):
+        outcome = solve(lambda: assert_(_sym("cq_a") + 1 == 5))
         assert outcome.status == "sat"
         assert outcome.stats.certified_checks == 1
         assert outcome.model.evaluate(_sym("cq_a")) == 4
 
-    def test_verify_certified(self):
-        outcome = verify(lambda: assert_(_sym("cq_b") * 2 != 7), certify=True)
+    def test_verify_certified(self, certified):
+        outcome = verify(lambda: assert_(_sym("cq_b") * 2 != 7))
         assert outcome.status == "unsat"
         assert outcome.stats.certified_checks == 1
 
-    def test_verify_counterexample_certified(self):
-        outcome = verify(lambda: assert_(_sym("cq_c") != 3), certify=True)
+    def test_verify_counterexample_certified(self, certified):
+        outcome = verify(lambda: assert_(_sym("cq_c") != 3))
         assert outcome.status == "sat"
         assert outcome.stats.certified_checks == 1
         assert outcome.model.evaluate(_sym("cq_c")) == 3
 
-    def test_synthesize_certified(self):
+    def test_synthesize_certified(self, certified):
         inputs = []
 
         def thunk():
@@ -47,20 +54,20 @@ class TestCertifiedQueries:
             inputs.append(x)
             assert_(x + hole == x + 3)
 
-        outcome = synthesize(_LazyInputs(inputs), thunk, certify=True)
+        outcome = synthesize(_LazyInputs(inputs), thunk)
         assert outcome.status == "sat"
         # CEGIS runs at least one guess and one check, each certified.
         assert outcome.stats.certified_checks >= 2
         assert outcome.model.evaluate(_sym("cq_h")) == 3
 
-    def test_debug_certified(self):
+    def test_debug_certified(self, certified):
         def thunk():
             x = relax(_sym("cq_d"), "x")
             y = relax(x + 1, "x+1")
             assert_(y == 0)
             assert_(x == 7)
 
-        outcome = debug(thunk, certify=True)
+        outcome = debug(thunk)
         assert outcome.status == "sat"
         assert outcome.core  # some relaxation is to blame
         assert outcome.stats.certified_checks >= 2
@@ -76,10 +83,10 @@ class TestCertifiedQueries:
         assert outcome.status == "sat"
         assert outcome.stats.certified_checks == 0
 
-    def test_cert_metrics_aggregate(self):
+    def test_cert_metrics_aggregate(self, certified):
         metrics = BusMetrics()
         with metrics.subscribed():
-            solve(lambda: assert_(_sym("cq_g") == 2), certify=True)
+            solve(lambda: assert_(_sym("cq_g") == 2))
         snapshot = metrics.snapshot()
         assert snapshot["smt.certified"] == 1
         assert snapshot["cert.model.checks"] == 1

@@ -6,6 +6,7 @@ from repro.sym import fresh_int, ops
 from repro.vm import assert_, builtins as B
 from repro.queries import debug, relax
 from repro.queries.debug import DebugSession
+from repro.smt.solver import SmtSolver
 
 
 class TestRelax:
@@ -97,3 +98,31 @@ class TestDebug:
         assert "c" in outcome.core
         assert len(outcome.core) == 2
         assert set(outcome.core) in ({"b", "c"}, {"a", "c"})
+
+    @pytest.mark.parametrize("certify", ["0", "1"])
+    def test_stats_count_every_check(self, monkeypatch, certify):
+        """solver_checks counts the first check and every minimize_core
+        probe; under REPRO_CERTIFY=1 each of them is certified."""
+        monkeypatch.setenv("REPRO_CERTIFY", certify)
+        calls = []
+        check = SmtSolver.check
+
+        def counted_check(self, *args, **kwargs):
+            calls.append(None)
+            return check(self, *args, **kwargs)
+
+        monkeypatch.setattr(SmtSolver, "check", counted_check)
+
+        def program():
+            a = relax(1, "a")
+            b = relax(2, "b")
+            c = relax(3, "c")
+            assert_(B.equal(ops.add(a, b), 3))
+            assert_(B.equal(ops.add(b, c), 99))
+
+        outcome = debug(program)
+        assert outcome.status == "sat"
+        assert len(calls) > 1          # minimization probed
+        assert outcome.stats.solver_checks == len(calls)
+        certified = len(calls) if certify == "1" else 0
+        assert outcome.stats.certified_checks == certified

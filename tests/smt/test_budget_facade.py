@@ -75,14 +75,14 @@ class TestSearchTrips:
         assert solver.check() is SmtResult.UNSAT
         assert solver.last_report is None
 
-    def test_legacy_max_conflicts_reports_too(self):
-        solver = SmtSolver(max_conflicts=1)
+    def test_conflict_budget_reports_its_limit(self):
+        solver = SmtSolver(budget=Budget(conflicts=0))
         solver.add_assertions(factoring(feasible=True))
         assert solver.check() is SmtResult.UNKNOWN
         report = solver.last_report
         assert report is not None
         assert report.phase == "search"
-        assert report.limits == {"max_conflicts": 1}
+        assert report.limits == {"conflicts": 0}
 
 
 class TestEncodeTrips:

@@ -6,6 +6,7 @@ import pytest
 from repro.obs.events import BUS
 from repro.smt import terms as T
 from repro.smt.solver import CheckStats, SmtResult, SmtSolver
+from repro.solver.budget import Budget
 from repro.solver.certify import CertificationError
 
 
@@ -87,7 +88,7 @@ class TestCertifiedAnswers:
         assert set(solver.unsat_core()) == {a, b}
 
     def test_unknown_is_not_certified(self):
-        solver = SmtSolver(max_conflicts=1, certify=True)
+        solver = SmtSolver(budget=Budget(conflicts=0), certify=True)
         x = T.bv_var("cu", 12)
         y = T.bv_var("cv", 12)
         solver.add_assertion(T.mk_eq(T.mk_mul(x, y), T.bv_const(3131, 12)))

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.solver.budget import Budget
 from repro.solver.sat import SatResult, SatSolver, _luby
 
 
@@ -88,7 +89,7 @@ class TestBasics:
         assert solver.solve([a]) is SatResult.SAT
         assert solver.solve() is SatResult.SAT
 
-    def test_max_conflicts_gives_unknown(self):
+    def test_conflict_budget_gives_unknown(self):
         solver = SatSolver()
         # A hard-enough pigeonhole so that 1 conflict is not sufficient.
         var = {(p, h): solver.new_var() for p in range(5) for h in range(4)}
@@ -98,7 +99,7 @@ class TestBasics:
             for p1 in range(5):
                 for p2 in range(p1 + 1, 5):
                     solver.add_clause([-var[(p1, h)], -var[(p2, h)]])
-        solver.max_conflicts = 1
+        solver.budget = Budget(conflicts=0)   # trips at the first conflict
         assert solver.solve() in (SatResult.UNKNOWN, SatResult.UNSAT)
 
 

@@ -90,32 +90,37 @@ class TestEvalStats:
         # The peak predates inner's window, but stop() restores it.
         assert outer.max_union_cardinality == 2
 
-    def test_check_listener_matches_record_check(self):
-        """The bus listener and the legacy record_check accumulate the
-        same totals from the same delta."""
-        from repro.obs.events import END, Event
+    def test_record_check_adds_every_counter_of_a_delta(self):
+        """Each CheckStats field lands on its EvalStats counter, and the
+        check's own seconds are left to the query's timing."""
+        from repro.smt.solver import CheckStats
 
-        delta = {"checks": 1, "conflicts": 7, "decisions": 20,
-                 "propagations": 150, "learned": 5, "encode_hits": 9,
-                 "encode_misses": 4, "seconds": 0.01, "tripped": 1}
-        via_listener = EvalStats()
-        via_listener.check_listener(
-            Event("smt.check", "smt", END, 1.0, dict(delta)))
-        assert via_listener.solver_checks == 1
-        assert via_listener.solver_conflicts == 7
-        assert via_listener.solver_decisions == 20
-        assert via_listener.solver_propagations == 150
-        assert via_listener.solver_learned == 5
-        assert via_listener.encode_cache_hits == 9
-        assert via_listener.encode_cache_misses == 4
-        assert via_listener.budget_trips == 1
-
-    def test_check_listener_ignores_other_events(self):
-        from repro.obs.events import BEGIN, INSTANT, Event
-
+        delta = CheckStats(checks=1, conflicts=7, decisions=20,
+                           propagations=150, learned=5, encode_hits=9,
+                           encode_misses=4, seconds=0.01, tripped=1,
+                           certified=1, sanitize_rewrites=3)
         stats = EvalStats()
-        stats.check_listener(Event("smt.check", "smt", BEGIN, 1.0,
-                                   {"assumptions": 2}))
-        stats.check_listener(Event("vm.join", "vm", INSTANT, 2.0,
-                                   {"cardinality": 2}))
-        assert stats.solver_checks == 0
+        stats.record_check(delta)
+        stats.record_check(delta)
+        assert stats.solver_checks == 2
+        assert stats.solver_conflicts == 14
+        assert stats.solver_decisions == 40
+        assert stats.solver_propagations == 300
+        assert stats.solver_learned == 10
+        assert stats.encode_cache_hits == 18
+        assert stats.encode_cache_misses == 8
+        assert stats.budget_trips == 2
+        assert stats.certified_checks == 2
+        assert stats.sanitize_rewrites == 6
+        assert stats.solver_seconds == 0.0
+
+    def test_add_sums_counters_and_keeps_the_peak(self):
+        first = EvalStats(joins=3, max_union_cardinality=4,
+                          solver_seconds=0.5, sanitize_rewrites=2)
+        second = EvalStats(joins=1, max_union_cardinality=2,
+                           solver_seconds=0.25, sanitize_rewrites=1)
+        first.add(second)
+        assert first.joins == 4
+        assert first.max_union_cardinality == 4
+        assert first.solver_seconds == 0.75
+        assert first.sanitize_rewrites == 3
