@@ -31,7 +31,6 @@ from repro.analysis.domains import (
     BTOP,
     BTRUE,
     AbsVal,
-    Interval,
     KnownBits,
     b3_and,
     b3_join,

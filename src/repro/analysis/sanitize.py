@@ -25,7 +25,7 @@ through this pass unchanged.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.obs.events import BUS

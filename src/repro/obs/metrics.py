@@ -15,7 +15,7 @@ than end-of-run sums — subscribe, run, snapshot, compare.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.obs.events import BUS, END, Event, EventBus, INSTANT
 

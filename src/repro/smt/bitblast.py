@@ -83,26 +83,25 @@ class BitBlaster:
     def false_lit(self) -> int:
         return -self._true
 
-    def _is_true(self, lit: int) -> bool:
-        return lit == self._true
-
-    def _is_false(self, lit: int) -> bool:
-        return lit == -self._true
+    # The gate constructors compare literals with `self._true` inline:
+    # they run about a million times in one perfbench synth_cegis pass.
 
     def _and2(self, a: int, b: int) -> int:
-        if self._is_false(a) or self._is_false(b) or a == -b:
-            return self.false_lit
-        if self._is_true(a):
+        true = self._true
+        if a == -true or b == -true or a == -b:
+            return -true
+        if a == true:
             return b
-        if self._is_true(b) or a == b:
+        if b == true or a == b:
             return a
-        key = ("and", min(a, b), max(a, b))
+        key = ("and", a, b) if a < b else ("and", b, a)
         gate = self._gate_cache.get(key)
         if gate is None:
-            gate = self.sat.new_var()
-            self.sat.add_clause([-gate, a])
-            self.sat.add_clause([-gate, b])
-            self.sat.add_clause([gate, -a, -b])
+            sat = self.sat
+            gate = sat.new_var()
+            sat.add_clause([-gate, a])
+            sat.add_clause([-gate, b])
+            sat.add_clause([gate, -a, -b])
             self._gate_cache[key] = gate
         return gate
 
@@ -110,26 +109,28 @@ class BitBlaster:
         return -self._and2(-a, -b)
 
     def _xor2(self, a: int, b: int) -> int:
-        if self._is_false(a):
+        true = self._true
+        if a == -true:
             return b
-        if self._is_false(b):
+        if b == -true:
             return a
-        if self._is_true(a):
+        if a == true:
             return -b
-        if self._is_true(b):
+        if b == true:
             return -a
         if a == b:
-            return self.false_lit
+            return -true
         if a == -b:
-            return self.true_lit
-        key = ("xor", min(a, b), max(a, b))
+            return true
+        key = ("xor", a, b) if a < b else ("xor", b, a)
         gate = self._gate_cache.get(key)
         if gate is None:
-            gate = self.sat.new_var()
-            self.sat.add_clause([-gate, a, b])
-            self.sat.add_clause([-gate, -a, -b])
-            self.sat.add_clause([gate, a, -b])
-            self.sat.add_clause([gate, -a, b])
+            sat = self.sat
+            gate = sat.new_var()
+            sat.add_clause([-gate, a, b])
+            sat.add_clause([-gate, -a, -b])
+            sat.add_clause([gate, a, -b])
+            sat.add_clause([gate, -a, b])
             self._gate_cache[key] = gate
         return gate
 
@@ -138,50 +139,53 @@ class BitBlaster:
 
     def _mux(self, cond: int, then: int, alt: int) -> int:
         """ite over literals."""
-        if self._is_true(cond):
+        true = self._true
+        if cond == true:
             return then
-        if self._is_false(cond):
+        if cond == -true:
             return alt
         if then == alt:
             return then
         if then == -alt:
             return self._xor2(cond, alt)
-        if self._is_true(then):
+        if then == true:
             return self._or2(cond, alt)
-        if self._is_false(then):
+        if then == -true:
             return self._and2(-cond, alt)
-        if self._is_true(alt):
+        if alt == true:
             return self._or2(-cond, then)
-        if self._is_false(alt):
+        if alt == -true:
             return self._and2(cond, then)
         key = ("mux", cond, then, alt)
         gate = self._gate_cache.get(key)
         if gate is None:
-            gate = self.sat.new_var()
-            self.sat.add_clause([-gate, -cond, then])
-            self.sat.add_clause([-gate, cond, alt])
-            self.sat.add_clause([gate, -cond, -then])
-            self.sat.add_clause([gate, cond, -alt])
+            sat = self.sat
+            gate = sat.new_var()
+            sat.add_clause([-gate, -cond, then])
+            sat.add_clause([-gate, cond, alt])
+            sat.add_clause([gate, -cond, -then])
+            sat.add_clause([gate, cond, -alt])
             # Redundant but propagation-strengthening clauses.
-            self.sat.add_clause([-gate, then, alt])
-            self.sat.add_clause([gate, -then, -alt])
+            sat.add_clause([-gate, then, alt])
+            sat.add_clause([gate, -then, -alt])
             self._gate_cache[key] = gate
         return gate
 
     def _and_many(self, lits: Sequence[int]) -> int:
         """n-ary conjunction as a single gate (stronger unit propagation
         than a chain of binary gates, and one aux var instead of n-1)."""
+        true = self._true
         unique = []
         seen = set()
         for lit in lits:
-            if self._is_false(lit) or -lit in seen:
-                return self.false_lit
-            if self._is_true(lit) or lit in seen:
+            if lit == -true or -lit in seen:
+                return -true
+            if lit == true or lit in seen:
                 continue
             seen.add(lit)
             unique.append(lit)
         if not unique:
-            return self.true_lit
+            return true
         if len(unique) == 1:
             return unique[0]
         if len(unique) == 2:
@@ -189,10 +193,11 @@ class BitBlaster:
         key = ("andN", tuple(sorted(unique)))
         gate = self._gate_cache.get(key)
         if gate is None:
-            gate = self.sat.new_var()
+            sat = self.sat
+            gate = sat.new_var()
             for lit in unique:
-                self.sat.add_clause([-gate, lit])
-            self.sat.add_clause([gate] + [-lit for lit in unique])
+                sat.add_clause([-gate, lit])
+            sat.add_clause([gate] + [-lit for lit in unique])
             self._gate_cache[key] = gate
         return gate
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sym import fresh_int, ops
+from repro.sym import ops
 from repro.vm import assert_, builtins as B
 from repro.queries import debug, relax
 from repro.queries.debug import DebugSession

@@ -1,7 +1,5 @@
 """SmtSolver resource governance: UNKNOWN paths, reports, stats."""
 
-import pytest
-
 from repro.smt import bitblast
 from repro.smt import terms as T
 from repro.smt.solver import SmtResult, SmtSolver

@@ -1,6 +1,6 @@
 """Tests for evaluation statistics (Table 4's instrumentation)."""
 
-from repro.sym import fresh_bool, fresh_int, merge
+from repro.sym import fresh_bool, merge
 from repro.sym.values import UNION_COUNTERS
 from repro.vm import VM
 from repro.vm.stats import EvalStats
