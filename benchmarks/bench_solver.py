@@ -7,10 +7,11 @@ backend, and ours is home-grown, so its scaling behaviour is worth pinning:
 - CDCL on small pigeonhole instances (the classic resolution-hard family);
 - bit-blasting + solving a multiplier equation (the heaviest circuit the
   SDSLs generate);
-- incremental solving: scoped (push/pop) query sequences against a shared
-  circuit vs. fresh one-shot solvers, and a CEGIS synthesis loop — both
-  print encode-cache and per-check solver statistics, the counters that
-  prove iterative queries re-encode nothing they have already seen;
+- incremental solving: query sequences checked under assumptions against
+  a shared circuit vs. fresh one-shot solvers, and a CEGIS synthesis
+  loop — both print encode-cache and per-check solver statistics, the
+  counters that prove iterative queries re-encode nothing they have
+  already seen;
 - the same incremental sweep under a wall-clock :class:`Budget`
   (``--budget-ms``), the resource-governance smoke row.
 
@@ -164,20 +165,17 @@ WIDTH = 12
 FACTOR_TARGETS = [7 * n for n in range(2, 40)]
 
 
-def _factoring_scope(solver, x, y, product, target):
-    """One scoped factoring query: is `target` a nontrivial product?"""
-    solver.push()
-    try:
-        solver.add_assertion(T.mk_eq(product, T.bv_const(target, WIDTH)))
-        solver.add_assertion(T.mk_ult(T.bv_const(1, WIDTH), x))
-        solver.add_assertion(T.mk_ult(T.bv_const(1, WIDTH), y))
-        return solver.check()
-    finally:
-        solver.pop()
+def _factoring_query(solver, x, y, product, target):
+    """One factoring query, checked under assumptions: is `target` a
+    nontrivial product?"""
+    return solver.check([T.mk_eq(product, T.bv_const(target, WIDTH)),
+                         T.mk_ult(T.bv_const(1, WIDTH), x),
+                         T.mk_ult(T.bv_const(1, WIDTH), y)])
 
 
 def test_incremental_factoring(benchmark):
-    """38 factoring queries via push/pop over one persistent multiplier.
+    """38 factoring queries as assumption checks on one persistent
+    multiplier.
 
     The multiplier circuit is bit-blasted once; each query only encodes
     its (tiny) equality against the target constant, and clauses learned
@@ -193,11 +191,11 @@ def test_incremental_factoring(benchmark):
         product = T.mk_mul(x, y)
         sats = 0
         for target in FACTOR_TARGETS:
-            if _factoring_scope(solver, x, y, product, target) is SmtResult.SAT:
+            if _factoring_query(solver, x, y, product, target) is SmtResult.SAT:
                 sats += 1
         # Asking an already-seen target again must re-encode *nothing*.
         misses_before_repeat = solver.blaster.cache_misses
-        assert _factoring_scope(
+        assert _factoring_query(
             solver, x, y, product, FACTOR_TARGETS[0]) is SmtResult.SAT
         assert solver.blaster.cache_misses == misses_before_repeat
         print(f"\nincremental factoring: {sats}/{len(FACTOR_TARGETS)} sat, "
@@ -263,7 +261,7 @@ def test_budgeted_incremental_factoring(benchmark, budget_ms):
         product = T.mk_mul(x, y)
         sats = unknowns = 0
         for target in FACTOR_TARGETS:
-            result = _factoring_scope(solver, x, y, product, target)
+            result = _factoring_query(solver, x, y, product, target)
             if result is SmtResult.SAT:
                 sats += 1
             elif result is SmtResult.UNKNOWN:
@@ -293,11 +291,11 @@ def test_certified_factoring_overhead(benchmark, certify_enabled):
 
     Runs the incremental sweep twice — plain, then with ``certify=True``
     (DRUP proof logging, every SAT answer's model re-checked clause by
-    clause and re-evaluated at the term level, plus one UNSAT scope whose
-    proof is replayed) — and records the overhead ratio. The design
-    target is ≤1.3× with certification on; the assertion bound is looser
-    because shared CI runners are noisy, but the measured ratio is in the
-    JSON row for trend tracking.
+    clause and re-evaluated at the term level, plus one UNSAT check under
+    contradictory assumptions whose proof is replayed) — and records the
+    overhead ratio. The design target is ≤1.3× with certification on; the
+    assertion bound is looser because shared CI runners are noisy, but the
+    measured ratio is in the JSON row for trend tracking.
     """
     def _sweep(certify, prefix):
         started = time.perf_counter()
@@ -307,16 +305,12 @@ def test_certified_factoring_overhead(benchmark, certify_enabled):
         product = T.mk_mul(x, y)
         sats = 0
         for target in FACTOR_TARGETS:
-            if _factoring_scope(solver, x, y, product, target) is SmtResult.SAT:
+            if _factoring_query(solver, x, y, product, target) is SmtResult.SAT:
                 sats += 1
-        # One contradictory scope so the proof path is measured too.
-        solver.push()
-        try:
-            solver.add_assertion(T.mk_eq(x, T.bv_const(2, WIDTH)))
-            solver.add_assertion(T.mk_eq(x, T.bv_const(3, WIDTH)))
-            assert solver.check() is SmtResult.UNSAT
-        finally:
-            solver.pop()
+        # One contradictory check so the proof path is measured too.
+        assert solver.check([T.mk_eq(x, T.bv_const(2, WIDTH)),
+                             T.mk_eq(x, T.bv_const(3, WIDTH))]) \
+            is SmtResult.UNSAT
         return time.perf_counter() - started, sats, solver
 
     def run():
@@ -430,13 +424,14 @@ def test_sanitized_factoring(benchmark, sanitize_enabled):
 
 
 def test_cegis_synthesis_loop(benchmark):
-    """A multi-iteration CEGIS run on persistent solvers.
+    """A multi-iteration CEGIS run: a persistent guess solver and a
+    one-shot check solver per candidate.
 
     Synthesizes the hole constants of a masked-mux identity over 16-bit
     words; every counterexample pins down a few bits, so the loop runs
     ~14 guess/check rounds. Prints the per-query solver row — the
-    encode-cache hits show iterations reusing earlier encodings instead
-    of re-bit-blasting them.
+    encode-cache hits show shared subterms reusing earlier encodings
+    instead of re-bit-blasting them.
     """
     from repro.queries import synthesize
     from repro.sym import fresh_int, ops

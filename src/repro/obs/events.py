@@ -29,7 +29,7 @@ Event taxonomy (name — category — payload):
 ``query.synthesize``      query  ``status``
 ``query.debug`` (span)    query  ``status``
 ``cegis.iteration``       query  ``iteration``, ``examples``; end: ``outcome``
-``smt.check`` (span)      smt    ``assumptions``, ``scopes``; end: ``result``
+``smt.check`` (span)      smt    ``assumptions``; end: ``result``
                                  plus the full CheckStats delta
 ``smt.encode`` (span)     smt    end: ``hits``, ``misses``, ``cached``
 ``cert.model`` (span)     cert   end: ``ok`` (SAT-answer certification)

@@ -218,32 +218,31 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
     much smaller than the symbolic goal and no program re-execution is
     needed.
 
-    Both sides of the loop solve *incrementally* on persistent solvers:
+    The guess solver is persistent and incremental: it accumulates one
+    assertion per counterexample, each new example is bit-blasted once,
+    and the SAT solver's learned clauses about the hole variables carry
+    over to every later guess. Each candidate is checked on a fresh
+    one-shot solver that asserts only the negated, candidate-substituted
+    goal. Substitution folds the candidate into the program, so this
+    formula shares little with earlier candidates' formulas; a persistent
+    check solver would keep every refuted candidate's gates live in the
+    search for no encode-cache reuse.
 
-    - The guess solver accumulates one assertion per counterexample; each
-      new example is bit-blasted once and the SAT solver's learned clauses
-      about the hole variables carry over to every later guess.
-    - The check solver tests each candidate inside a ``push``/``pop``
-      scope, so candidate constraints retract without discarding the
-      shared Tseitin gates or clauses learned while refuting earlier
-      candidates. Terms shared between iterations (the interned term DAG
-      guarantees structural sharing) hit the encode cache instead of
-      being re-blasted.
-
-    Resource governance: `budget` caps the *whole* CEGIS run (both
-    solvers charge the same budget), while `iteration_budget` — a dict of
-    :class:`Budget` keyword arguments like ``{"conflicts": 10_000}`` — is
-    re-minted as a child budget each iteration, so one pathological guess
-    or check cannot consume the entire allowance. CEGIS is an *anytime*
-    query: on exhaustion it returns ``unknown`` carrying the last
-    candidate that satisfied all examples so far as a best-effort model.
+    Resource governance: `budget` caps the *whole* CEGIS run (the guess
+    solver and every check solver charge it), while `iteration_budget` —
+    a dict of :class:`Budget` keyword arguments like
+    ``{"conflicts": 10_000}`` — is re-minted as a child budget each
+    iteration and given to that iteration's guess and check, so one
+    pathological guess or check cannot consume the entire allowance.
+    CEGIS is an *anytime* query: on exhaustion it returns ``unknown``
+    carrying the last candidate that satisfied all examples so far as a
+    best-effort model.
     """
     # Ordered, so examples and holes follow the caller's order.
     inputs = dict.fromkeys(input_terms)
     hole_terms = [var for var in T.term_vars(goal) if var not in inputs]
     examples: List[dict] = [{var: _default_value(var) for var in inputs}]
     guess_solver = SmtSolver(budget=budget)
-    check_solver = SmtSolver(budget=budget)
 
     def _exhausted(solver: SmtSolver, phase: str) -> QueryOutcome:
         outcome = _unknown(vm, solver)
@@ -268,10 +267,10 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
                       iteration=iterations, examples=len(examples))
         iteration_outcome = "unknown"
         try:
+            scoped = budget
             if iteration_budget is not None:
                 scoped = Budget(parent=budget, **iteration_budget)
                 guess_solver.set_budget(scoped)
-                check_solver.set_budget(scoped)
             # Guess: find hole values consistent with all examples so far.
             # Only examples discovered since the last guess need encoding.
             while examples_asserted < len(examples):
@@ -293,18 +292,12 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
             best_candidate = candidate
             best_examples = len(examples)
 
-            # Check: does the candidate work for every input? The candidate
-            # binding lives in a scope so the next iteration can retract it.
+            # Check: does the candidate work for every input?
             checked = T.substitute(goal, {
                 var: _const_for(var, candidate[var]) for var in hole_terms})
-            check_solver.push()
-            try:
-                check_solver.add_assertion(T.mk_not(checked))
-                check_result = _check(check_solver, vm)
-                if check_result is SmtResult.SAT:
-                    counterexample = check_solver.model(list(inputs))
-            finally:
-                check_solver.pop()
+            check_solver = SmtSolver(budget=scoped)
+            check_solver.add_assertion(T.mk_not(checked))
+            check_result = _check(check_solver, vm)
             if check_result is SmtResult.UNKNOWN:
                 return _exhausted(check_solver, "check")
             if check_result is not SmtResult.SAT:
@@ -315,6 +308,7 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
                     f"cegis converged in {iterations} iteration(s)"
                 return outcome
             iteration_outcome = "counterexample"
+            counterexample = check_solver.model(list(inputs))
             examples.append({var: counterexample[var] for var in inputs})
         finally:
             if traced:

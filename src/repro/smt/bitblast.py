@@ -474,20 +474,15 @@ class BitBlaster:
     # Assertions and models
     # ------------------------------------------------------------------
 
-    def assert_term(self, term: T.Term, guard: Optional[int] = None) -> None:
-        """Assert a boolean term at the top level.
+    def assert_term(self, term: T.Term) -> None:
+        """Assert a boolean term at the top level, permanently.
 
         Top-level conjunctions split into separate assertions and
         disjunctions become plain clauses, so the solver sees the formula's
         clausal skeleton directly instead of a tower of equivalence gates.
-
-        When `guard` is given, it is a SAT literal appended to every
-        emitted top-level clause, making the assertion conditional: the
-        term is only enforced while the guard is falsified (the
-        activation-literal scheme behind :meth:`SmtSolver.push`). Tseitin
-        gate definitions stay unguarded — they are globally valid
-        definitions of auxiliary variables, so they can be shared by later
-        scopes.
+        Tseitin gate definitions are globally valid definitions of
+        auxiliary variables, so later assertions and assumptions share
+        them through the encode cache.
 
         While tracing, each top-level assertion is an ``smt.encode`` span
         whose end event carries the encode-cache disposition: how many
@@ -497,33 +492,31 @@ class BitBlaster:
         """
         bus = BUS
         if not bus.enabled:
-            return self._assert_term(term, guard)
+            return self._assert_term(term)
         hits_before = self.cache_hits
         misses_before = self.cache_misses
         bus.begin("smt.encode", "smt")
         try:
-            return self._assert_term(term, guard)
+            return self._assert_term(term)
         finally:
             misses = self.cache_misses - misses_before
             bus.end("smt.encode", "smt",
                     hits=self.cache_hits - hits_before,
                     misses=misses, cached=misses == 0)
 
-    def _assert_term(self, term: T.Term, guard: Optional[int]) -> None:
+    def _assert_term(self, term: T.Term) -> None:
         if term.op == T.OP_AND:
             for arg in term.args:
-                self._assert_term(arg, guard)
+                self._assert_term(arg)
             return
-        extra = [] if guard is None else [guard]
         if term.op == T.OP_OR:
-            self.sat.add_clause(
-                [self.lit_of(arg) for arg in term.args] + extra)
+            self.sat.add_clause([self.lit_of(arg) for arg in term.args])
             return
         if term.op == T.OP_NOT and term.args[0].op == T.OP_OR:
             for arg in term.args[0].args:
-                self._assert_term(T.mk_not(arg), guard)
+                self._assert_term(T.mk_not(arg))
             return
-        self.sat.add_clause([self.lit_of(term)] + extra)
+        self.sat.add_clause([self.lit_of(term)])
 
     def variables(self) -> List[T.Term]:
         """All variable terms that have reached the encoder, in first-seen

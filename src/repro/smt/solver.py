@@ -1,18 +1,19 @@
-"""SMT solver facade: check-sat, models, scopes, and minimized unsat cores.
+"""SMT solver facade: check-sat, models, and minimized unsat cores.
 
 This is the component the SVM's queries talk to in place of Z3. A
 :class:`SmtSolver` owns a single *persistent* SAT instance; assertions are
-boolean terms and `check` may additionally be given *assumption* terms. The
-solver is **incremental**:
+boolean terms and are permanent, and `check` may additionally be given
+*assumption* terms that hold for that check only. The solver is
+**incremental**:
 
-- :meth:`push`/:meth:`pop` open and close assertion scopes. Scoped
-  assertions are guarded by per-scope *activation literals* — fresh SAT
-  variables assumed true while the scope is open and permanently forced
-  false on `pop` — so retracting a scope never discards the SAT solver's
-  learned clauses, variable activities, or watch lists.
+- Assertions added between checks and assumptions that change from check
+  to check reuse the SAT solver's learned clauses, variable activities and
+  watch lists. A query that needs to retract a constraint either passes it
+  as an assumption or uses a fresh solver (CEGIS checks each candidate on
+  a one-shot solver).
 - Bit-blasting is memoized in the underlying :class:`BitBlaster`: because
   terms are interned (:mod:`repro.smt.terms`), a term encoded by one check
-  is a dictionary hit for every later check, even across popped scopes.
+  is a dictionary hit for every later check.
 - Every `check` records a :class:`CheckStats` delta (conflicts, decisions,
   propagations, learned clauses, encode-cache hits/misses) in
   :attr:`SmtSolver.last_check` and accumulates it in
@@ -146,17 +147,6 @@ class Model:
         return f"Model({entries})"
 
 
-class _Scope:
-    """One push level: its activation literal and the terms it asserted."""
-
-    __slots__ = ("act", "assertions", "has_false")
-
-    def __init__(self, act: int):
-        self.act = act                       # external SAT literal, > 0
-        self.assertions: List[T.Term] = []
-        self.has_false = False               # scope asserted constant FALSE
-
-
 class SmtSolver:
     """Incremental satisfiability checks for boolean/bitvector formulas."""
 
@@ -184,9 +174,8 @@ class SmtSolver:
         self.analyze = _analyze_default() if analyze is None else bool(analyze)
         self.sanitize_stats = SanitizeStats()
         self.blaster = BitBlaster(self.sat)
-        self._assertions: List[T.Term] = []   # base (unscoped) assertions
-        self._base_false = False              # base asserted constant FALSE
-        self._scopes: List[_Scope] = []
+        self._assertions: List[T.Term] = []
+        self._asserted_false = False
         self._assumption_lits: Dict[T.Term, int] = {}
         self._last_core: List[T.Term] = []
         self._last_result: Optional[SmtResult] = None
@@ -211,23 +200,19 @@ class SmtSolver:
     def set_budget(self, budget: Optional[Budget]) -> None:
         """Install (or clear) the budget charged by encoding and search.
 
-        Swappable between checks — CEGIS points both of its solvers at a
-        fresh per-iteration child budget each round.
+        Swappable between checks — CEGIS points its persistent guess
+        solver at a fresh per-iteration child budget each round.
         """
         self.budget = budget
         self.sat.budget = budget
         self.blaster.budget = budget
 
     # ------------------------------------------------------------------
-    # Assertions and scopes
+    # Assertions
     # ------------------------------------------------------------------
 
     def add_assertion(self, term: T.Term) -> None:
-        """Assert a boolean term in the current scope.
-
-        Base-level assertions are permanent; assertions made after a
-        :meth:`push` are retracted by the matching :meth:`pop`.
-        """
+        """Assert a boolean term permanently."""
         if term.sort is not T.BOOL:
             raise TypeError(f"assertions must be boolean: {term!r}")
         encoded = self._sanitized(term)
@@ -236,16 +221,10 @@ class SmtSolver:
         # certify mode, where the constant is encoded instead so the UNSAT
         # answer is backed by a checkable DRUP proof rather than the
         # analysis' word.
-        is_false = term is T.FALSE or (encoded is T.FALSE and not self.certify)
-        if self._scopes:
-            scope = self._scopes[-1]
-            scope.assertions.append(term)
-            scope.has_false = scope.has_false or is_false
-            self._encode(encoded, guard=-scope.act)
-        else:
-            self._assertions.append(term)
-            self._base_false = self._base_false or is_false
-            self._encode(encoded)
+        self._assertions.append(term)
+        self._asserted_false = (self._asserted_false or term is T.FALSE
+                                or (encoded is T.FALSE and not self.certify))
+        self._encode(encoded)
 
     def _sanitized(self, term: T.Term) -> T.Term:
         """The term to encode: the sanitizer's rewrite when analysis is on."""
@@ -254,7 +233,7 @@ class SmtSolver:
         return sanitize_assertion(term, certify=self.certify,
                                   stats=self.sanitize_stats)
 
-    def _encode(self, term: T.Term, guard: Optional[int] = None) -> None:
+    def _encode(self, term: T.Term) -> None:
         """Bit-blast one assertion, downgrading encode-budget trips.
 
         A trip mid-encoding leaves the SAT instance with a *partial*
@@ -266,7 +245,7 @@ class SmtSolver:
         if self._encode_report is not None:
             return  # already poisoned; do not waste more encode work
         try:
-            self.blaster.assert_term(term, guard=guard)
+            self.blaster.assert_term(term)
         except BudgetExhausted as exhausted:
             self._encode_report = exhausted.report
 
@@ -274,39 +253,9 @@ class SmtSolver:
         for term in terms:
             self.add_assertion(term)
 
-    def push(self) -> None:
-        """Open a new assertion scope.
-
-        Implemented with an activation literal: a fresh SAT variable guards
-        every clause the scope asserts and is passed as an assumption to
-        each `check` while the scope is open. The persistent SAT instance
-        keeps its learned clauses, activities, and watches across scopes.
-        """
-        self._scopes.append(_Scope(self.sat.new_var()))
-
-    def pop(self) -> None:
-        """Retract the innermost scope's assertions.
-
-        The scope's activation literal is permanently forced false, which
-        satisfies (and thereby disables) every clause it guarded — nothing
-        is deleted, so clauses learned while the scope was open remain
-        valid and continue to prune later searches.
-        """
-        if not self._scopes:
-            raise RuntimeError("pop() without a matching push()")
-        scope = self._scopes.pop()
-        self.sat.add_clause([-scope.act])
-
-    @property
-    def num_scopes(self) -> int:
-        return len(self._scopes)
-
     def assertions(self) -> List[T.Term]:
-        """All currently active assertions, outermost first."""
-        active = list(self._assertions)
-        for scope in self._scopes:
-            active.extend(scope.assertions)
-        return active
+        """All assertions, in the order they were made."""
+        return list(self._assertions)
 
     # ------------------------------------------------------------------
     # Checking
@@ -352,7 +301,7 @@ class SmtSolver:
         """Decide satisfiability of the active assertions plus assumptions.
 
         On UNSAT, :meth:`unsat_core` names the *assumptions* involved in
-        the conflict. Assertions (scoped or not) never appear in the core;
+        the conflict. Assertions never appear in the core;
         in particular, when the assertions alone are unsatisfiable the core
         is empty — no subset of the assumptions is to blame.
 
@@ -375,8 +324,7 @@ class SmtSolver:
         # even if a sink subscribes or detaches mid-check.
         traced = BUS.enabled
         if traced:
-            BUS.begin("smt.check", "smt", assumptions=len(assumptions),
-                      scopes=len(self._scopes))
+            BUS.begin("smt.check", "smt", assumptions=len(assumptions))
         try:
             # A budget trip during encoding means the SAT instance holds
             # only part of the formula: UNKNOWN is the only sound answer.
@@ -386,7 +334,7 @@ class SmtSolver:
                 return self._finish(SmtResult.UNKNOWN)
             # Fast path: a constant-false assertion makes the problem UNSAT
             # regardless of the assumptions, so the core of assumptions is [].
-            if self._base_false or any(s.has_false for s in self._scopes):
+            if self._asserted_false:
                 # Nothing to certify: UNSAT is syntactically immediate.
                 if self.certify:
                     self.last_cert = "trivial"
@@ -411,12 +359,10 @@ class SmtSolver:
                 self._encode_report = exhausted.report
                 self.last_report = exhausted.report
                 return self._finish(SmtResult.UNKNOWN)
-            # Activation literals of open scopes are standing assumptions.
-            act_lits = [scope.act for scope in self._scopes]
-            result = self.sat.solve(act_lits + lits)
+            result = self.sat.solve(lits)
             if result is SatResult.SAT:
                 if self.certify:
-                    self._certify_sat(act_lits + lits)
+                    self._certify_sat(lits)
                 return self._finish(SmtResult.SAT)
             if result is SatResult.UNKNOWN:
                 # Only a budget stops the search short of an answer.
@@ -427,11 +373,8 @@ class SmtSolver:
             core_lits = self.sat.unsat_core()
             if self.certify:
                 self._certify_unsat(core_lits)
-            # Activation literals are implementation detail, not assumptions:
-            # lit_to_term filters them out of the reported core.
-            core = [lit_to_term[lit] for lit in core_lits
-                    if lit in lit_to_term]
-            return self._finish(SmtResult.UNSAT, core)
+            return self._finish(SmtResult.UNSAT,
+                                [lit_to_term[lit] for lit in core_lits])
         finally:
             delta = self._record_check(time.perf_counter() - started, tripped,
                                        certified=self.last_cert is not None)
@@ -487,9 +430,8 @@ class SmtSolver:
         """Certify an UNSAT answer by replaying the DRUP proof.
 
         Every learned clause must pass reverse unit propagation, and
-        propagating the final core literals (open-scope activation literals
-        plus failed assumptions) over the accumulated clause database must
-        yield a conflict.
+        propagating the failed assumptions over the accumulated clause
+        database must yield a conflict.
         """
         traced = BUS.enabled
         if traced:
@@ -589,9 +531,8 @@ class SmtSolver:
 
         In certify mode the minimized core is re-proved before it is
         returned: a *fresh* one-shot solver receives the proof log's input
-        clauses, solves under the returned core (plus open-scope
-        activation literals), and its own UNSAT proof is RUP-checked. A
-        minimizer bug that over-shrinks the core raises
+        clauses, solves under the returned core, and its own UNSAT proof is
+        RUP-checked. A minimizer bug that over-shrinks the core raises
         :class:`CertificationError` instead of reporting a non-core.
         """
         current = list(self._last_core if core is None else core)
@@ -620,8 +561,7 @@ class SmtSolver:
 
     def _certify_core(self, core: Sequence[T.Term]) -> None:
         """Postcondition of :meth:`minimize_core`: re-prove the core unsat."""
-        lits = [scope.act for scope in self._scopes]
-        lits += [self._assumption_lit(term) for term in core]
+        lits = [self._assumption_lit(term) for term in core]
         traced = BUS.enabled
         if traced:
             BUS.begin("cert.core", "cert", size=len(core))

@@ -182,6 +182,17 @@ class TestSynthesizeUnknown:
         assert outcome.status == "unknown"
         assert outcome.report is not None
 
+    def test_per_iteration_budget_trips_in_check_phase(self):
+        """Each check solver is built with the iteration's child budget."""
+        inputs, h, thunk = self._check_hard_thunk()
+        outcome = synthesize(list(inputs), thunk,
+                             iteration_budget={"conflicts": 0})
+        assert outcome.status == "unknown"
+        assert "check phase" in outcome.message
+        assert outcome.report.limits == {"conflicts": 0}
+        assert outcome.model is not None
+        assert outcome.model.evaluate(h) == 0
+
     def test_generous_per_iteration_budget_converges(self):
         x, c = fresh_int("lx"), fresh_int("lc")
         outcome = synthesize(

@@ -66,15 +66,13 @@ class TestCertifiedAnswers:
         assert solver.last_cert == "trivial"
         assert solver.last_check.certified == 1
 
-    def test_certified_across_push_pop(self):
+    def test_certified_across_assumption_checks(self):
         solver = SmtSolver(certify=True)
         x = T.bv_var("cz", 8)
         solver.add_assertion(T.mk_ult(x, T.bv_const(10, 8)))
-        solver.push()
-        solver.add_assertion(T.mk_eq(x, T.bv_const(12, 8)))
-        assert solver.check() is SmtResult.UNSAT
+        assert solver.check([T.mk_eq(x, T.bv_const(12, 8))]) \
+            is SmtResult.UNSAT
         assert solver.last_cert == "proof"
-        solver.pop()
         assert solver.check() is SmtResult.SAT
         assert solver.last_cert == "model"
         assert solver.model()[x] < 10
@@ -143,16 +141,6 @@ class TestMinimizeCorePostcondition:
         assert solver.check([a, b]) is SmtResult.UNSAT
         with pytest.raises(CertificationError):
             solver._certify_core([a])  # a alone is satisfiable
-
-    def test_postcondition_respects_open_scopes(self):
-        solver = SmtSolver(certify=True)
-        a = T.bool_var("sc_a")
-        solver.push()
-        solver.add_assertion(T.mk_not(a))
-        assert solver.check([a]) is SmtResult.UNSAT
-        core = solver.minimize_core()
-        assert core == [a]
-        solver.pop()
 
 
 class TestModelCompleteness:
