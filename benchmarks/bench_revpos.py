@@ -13,7 +13,7 @@ comparison series: paths explored (symex) vs. union cardinalities
 
 import pytest
 
-from repro.baselines import SymbolicExecutor, bmc_solve, run_with_logical_merging
+from repro.baselines import SymbolicExecutor, run_with_logical_merging
 from repro.queries import solve
 from repro.sym import fresh_int, ops, set_default_int_width
 from repro.sym.values import Union

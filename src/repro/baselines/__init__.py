@@ -18,9 +18,9 @@ strategies on identical workloads.
 """
 
 from repro.baselines.symex import PathResult, SymbolicExecutor
-from repro.baselines.bmc import bmc_solve, bmc_verify, run_with_logical_merging
+from repro.baselines.bmc import run_with_logical_merging
 
 __all__ = [
     "PathResult", "SymbolicExecutor",
-    "bmc_solve", "bmc_verify", "run_with_logical_merging",
+    "run_with_logical_merging",
 ]

@@ -22,18 +22,16 @@ constants are :class:`~repro.sym.values.SymBool`/``SymInt``.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.lang.expander import MacroExpander
 from repro.lang.reader import Span, Symbol, read_all_spanned, write_form
 from repro.obs import tracing
-from repro.obs.events import BUS
-from repro.queries.debug import DebugSession, relax
+from repro.queries.debug import DebugSession, _decide_debug, relax
 from repro.queries.outcome import Model
-from repro.queries.queries import cegis
+from repro.queries.queries import (
+    _decide_solve, _decide_synthesize, _decide_verify, _query_span)
 from repro.smt import terms as T
-from repro.smt.solver import SmtResult, SmtSolver
 from repro.sym import ops
 from repro.sym.fresh import fresh_bool, fresh_int
 from repro.sym.values import Box, SymBool, SymInt, Union, default_int_width
@@ -62,37 +60,6 @@ class LangError(SvmError):
         self.span = span
         if self.args:
             self.args = (f"{span.label()}: {self.args[0]}",) + self.args[1:]
-
-
-class _StatusCell:
-    """Mutable status slot for :func:`_hl_query` span end events."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = "error"
-
-
-@contextmanager
-def _hl_query(name: str):
-    """Bracket an HL query form in a ``query.*`` span.
-
-    ``tracing(None)`` installs the ``REPRO_TRACE`` environment sink, so
-    HL programs are traceable with zero code changes — the same contract
-    the embedded API's queries honor in :mod:`repro.queries`. ``traced``
-    is latched at entry so the span stays balanced even if sinks change
-    mid-query.
-    """
-    with tracing(None):
-        traced = BUS.enabled
-        status = _StatusCell()
-        if traced:
-            BUS.begin(name, "query")
-        try:
-            yield status
-        finally:
-            if traced:
-                BUS.end(name, "query", status=status.value)
 
 
 class Env:
@@ -538,62 +505,33 @@ class Interpreter:
         # SQ1: a model of *all* assertions, prior and new alike.
         if len(form) != 2:
             raise LangError("solve takes exactly one expression")
-        with _hl_query("query.solve") as span:
+        with tracing(), _query_span("query.solve") as span:
             failed, before, new = self._collect_assertions(form[1], env)
-            if failed:
-                span.value = "unsat"
-                return False
-            solver = SmtSolver()
-            for assertion in before + new:
-                solver.add_assertion(assertion)
-            if solver.check() is SmtResult.SAT:
-                span.value = "sat"
-                return Model(solver.model())
-            span.value = "unsat"
-            return False
+            span.outcome = outcome = _decide_solve(
+                context.current(), failed, before + new)
+        return outcome.model if outcome else False
 
     def _sf_verify(self, form, env):
         # Prior assertions are assumptions; find a model failing a new one.
         if len(form) != 2:
             raise LangError("verify takes exactly one expression")
-        with _hl_query("query.verify") as span:
+        with tracing(), _query_span("query.verify") as span:
             failed, before, new = self._collect_assertions(form[1], env)
-            if failed:
-                # A definite failure: any interpretation is a counterexample.
-                span.value = "sat"
-                return _trivial_model()
-            if not new:
-                span.value = "unsat"
-                return False  # nothing can fail: no counterexample
-            solver = SmtSolver()
-            for assumption in before:
-                solver.add_assertion(assumption)
-            solver.add_assertion(T.mk_or(*[T.mk_not(a) for a in new]))
-            if solver.check() is SmtResult.SAT:
-                span.value = "sat"
-                return Model(solver.model())
-            span.value = "unsat"
-            return False
+            span.outcome = outcome = _decide_verify(
+                context.current(), failed, before, new)
+        return outcome.model if outcome else False
 
     def _sf_synthesize(self, form, env):
         # (synthesize [input-expr] expr): ∃holes ∀inputs. pre ⇒ post.
         if len(form) != 3 or not isinstance(form[1], list) or len(form[1]) != 1:
             raise LangError("synthesize takes [input] and an expression")
-        with _hl_query("query.synthesize") as span:
+        with tracing(), _query_span("query.synthesize") as span:
             input_value = self.eval(form[1][0], env)
             failed, before, new = self._collect_assertions(form[2], env)
-            if failed:
-                span.value = "unsat"
-                return False
-            pre = T.mk_and(*before) if before else T.TRUE
-            post = T.mk_and(*new) if new else T.TRUE
-            goal = T.mk_implies(pre, post)
-            input_terms = _value_terms(input_value)
-            outcome = cegis(goal, input_terms, context.current())
-            span.value = outcome.status
-            if outcome.status == "sat":
-                return outcome.model
-            return False
+            span.outcome = outcome = _decide_synthesize(
+                context.current(), failed, before, new,
+                _value_terms(input_value))
+        return outcome.model if outcome else False
 
     def _sf_debug(self, form, env):
         # (debug [type-predicate] expr)
@@ -605,34 +543,19 @@ class Interpreter:
         def predicate(value):
             result = predicate_value(value)
             return result is True
-        vm = context.current()
-        mark = len(vm.assertions)
         previous = self._debug_predicate
         self._debug_predicate = predicate
-        with _hl_query("query.debug") as span, DebugSession(predicate) as session:
+        with tracing(), _query_span("query.debug") as span, \
+                DebugSession(predicate) as session:
             try:
-                self.eval(form[2], env)
-                failed = False
-            except AssertionFailure:
-                failed = True
+                failed, before, new = self._collect_assertions(form[2], env)
             finally:
                 self._debug_predicate = previous
-            assertions = list(vm.assertions)
-            del vm.assertions[mark:]
-            if failed:
-                raise LangError(
-                    "debug: the failure does not depend on any expression "
-                    "of the given type")
-            solver = SmtSolver()
-            for assertion in assertions:
-                solver.add_assertion(assertion)
-            selectors = [sel for _, sel in session.relaxations]
-            label_of = {sel: label for label, sel in session.relaxations}
-            if solver.check(selectors) is not SmtResult.UNSAT:
-                raise LangError("debug: the expression does not fail")
-            core = solver.minimize_core()
-            span.value = "sat"  # a core was found (matches repro.queries)
-        return tuple(label_of[sel] for sel in core if sel in label_of)
+            span.outcome = outcome = _decide_debug(
+                context.current(), failed, before + new, session)
+        if not outcome:
+            raise LangError(f"debug: {outcome.message}")
+        return tuple(outcome.core)
 
     def generate_forms(self, model):
         """The paper's ``generate-forms``: resolve every evaluated ``choose``
@@ -697,11 +620,6 @@ def _value_terms(value) -> List[T.Term]:
                 walk(cell)
     walk(value)
     return seen
-
-
-def _trivial_model() -> Model:
-    from repro.smt.solver import Model as SmtModel
-    return Model(SmtModel({}))
 
 
 _SPECIAL_FORMS: Dict[Symbol, Callable] = {

@@ -18,7 +18,7 @@ label); Python-embedded SDSL code can call it explicitly.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs import tracing
 from repro.smt import terms as T
@@ -34,9 +34,9 @@ from repro.sym.values import (
     wrap_int,
 )
 from repro.vm.context import VM
-from repro.vm.errors import AssertionFailure
 from repro.queries.outcome import QueryOutcome
-from repro.queries.queries import _charged, _check, _query_span, _unknown
+from repro.queries.queries import (
+    _charged, _check, _query_span, _run, _unknown)
 
 _sessions: List["DebugSession"] = []
 
@@ -104,50 +104,48 @@ def debug(thunk: Callable[[], object],
     minimized core is also re-proved unsat on a fresh solver before it is
     reported.
     """
-    with tracing(), _query_span("query.debug") as span:
-        span.outcome = outcome = _debug(thunk, predicate, budget)
-        return outcome
-
-
-def _debug(thunk, predicate, budget) -> QueryOutcome:
     if predicate is None:
         predicate = lambda value: True  # relax every primitive
-    with VM() as vm, DebugSession(predicate) as session:
-        vm.stats.start()
-        try:
-            thunk()
-            definite_failure = False
-        except AssertionFailure:
-            definite_failure = True
-        finally:
-            vm.stats.stop()
-        if definite_failure:
-            return QueryOutcome(
-                "unknown", stats=vm.stats,
-                message="failure is independent of any relaxable expression")
-        solver = SmtSolver(budget=budget)
-        for assertion in vm.assertions:
-            solver.add_assertion(assertion)
-        selectors = [selector for _, selector in session.relaxations]
-        label_of = {selector: label for label, selector in session.relaxations}
-        result = _check(solver, vm, selectors)
-        if result is SmtResult.SAT:
-            return QueryOutcome("unsat", stats=vm.stats,
-                                message="no assertion failure to debug")
-        if result is SmtResult.UNKNOWN:
-            return _unknown(vm, solver)
-        # Deletion minimization runs many checks on the same persistent
-        # solver, all charged to the query. minimize_core is anytime: on
-        # budget exhaustion it returns the smallest core established so
-        # far and leaves the trip report in solver.last_report.
-        with _charged(solver, vm):
-            core = solver.minimize_core()
-        labels = [label_of[selector] for selector in core
-                  if selector in label_of]
-        outcome = QueryOutcome("sat", core=labels, stats=vm.stats)
-        if solver.last_report is not None:
-            outcome.report = solver.last_report
-            outcome.message = ("core minimization stopped early "
-                               f"({solver.last_report.reason}); "
-                               "core is unsat but may not be minimal")
+    with tracing(), _query_span("query.debug") as span, VM() as vm, \
+            DebugSession(predicate) as session:
+        failed, _ = _run(thunk, vm)
+        span.outcome = outcome = _decide_debug(vm, failed, vm.assertions,
+                                               session, budget)
         return outcome
+
+
+def _decide_debug(vm: VM, failed: bool, assertions: Sequence[T.Term],
+                  session: DebugSession,
+                  budget: Optional[Budget] = None) -> QueryOutcome:
+    """The decision step of ``debug``, shared with the HL ``debug`` form:
+    a minimal core of `session`'s selectors under `assertions`."""
+    if failed:
+        return QueryOutcome(
+            "unknown", stats=vm.stats,
+            message="failure is independent of any relaxable expression")
+    solver = SmtSolver(budget=budget)
+    for assertion in assertions:
+        solver.add_assertion(assertion)
+    selectors = [selector for _, selector in session.relaxations]
+    label_of = {selector: label for label, selector in session.relaxations}
+    result = _check(solver, vm, selectors)
+    if result is SmtResult.SAT:
+        return QueryOutcome("unsat", stats=vm.stats,
+                            message="no assertion failure to debug")
+    if result is SmtResult.UNKNOWN:
+        return _unknown(vm, solver)
+    # Deletion minimization runs many checks on the same persistent
+    # solver, all charged to the query. minimize_core is anytime: on
+    # budget exhaustion it returns the smallest core established so
+    # far and leaves the trip report in solver.last_report.
+    with _charged(solver, vm):
+        core = solver.minimize_core()
+    labels = [label_of[selector] for selector in core
+              if selector in label_of]
+    outcome = QueryOutcome("sat", core=labels, stats=vm.stats)
+    if solver.last_report is not None:
+        outcome.report = solver.last_report
+        outcome.message = ("core minimization stopped early "
+                           f"({solver.last_report.reason}); "
+                           "core is unsat but may not be minimal")
+    return outcome

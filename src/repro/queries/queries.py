@@ -14,6 +14,14 @@ Queries return a :class:`~repro.queries.outcome.QueryOutcome` carrying the
 model (or counterexample), the evaluation statistics (Table 4's columns),
 and solver timing.
 
+Each query is two steps. The host step evaluates the program and splits
+the store into assumptions and targets; the decision step (``_decide_*``)
+builds the formula, asks the solver, charges its effort to ``vm.stats``
+and returns the outcome. The HL special forms (:mod:`repro.lang.interp`)
+and the BMC baseline (``merge_strategy("logical")`` around these very
+functions) share the decision steps, so every host answers and accounts
+alike.
+
 The only solver configuration a query takes as an argument is its
 resource limits: ``budget`` (and CEGIS's per-iteration caps). The
 deployment switches are environment variables read where they act:
@@ -32,7 +40,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 from repro.obs import tracing
 from repro.obs.events import BUS
 from repro.smt import terms as T
-from repro.smt.solver import SmtResult, SmtSolver
+from repro.smt.solver import Model as SmtModel, SmtResult, SmtSolver
 from repro.solver.budget import Budget
 from repro.sym.values import SymBool, SymInt
 from repro.vm.context import VM
@@ -110,6 +118,75 @@ def _unknown(vm: VM, solver: SmtSolver, message: str = "") -> QueryOutcome:
                         report=report)
 
 
+def _decided(vm: VM, assertions: Sequence[T.Term],
+             budget: Optional[Budget]) -> QueryOutcome:
+    """Decide the conjunction of `assertions` on a fresh solver, charging
+    `vm.stats`; a model is the answer."""
+    solver = SmtSolver(budget=budget)
+    for assertion in assertions:
+        solver.add_assertion(assertion)
+    result = _check(solver, vm)
+    if result is SmtResult.SAT:
+        return QueryOutcome("sat", model=Model(solver.model()),
+                            stats=vm.stats)
+    if result is SmtResult.UNKNOWN:
+        return _unknown(vm, solver)
+    return QueryOutcome("unsat", stats=vm.stats)
+
+
+def _decide_solve(vm: VM, failed: bool, assertions: Sequence[T.Term],
+                  budget: Optional[Budget] = None) -> QueryOutcome:
+    """The decision step of ``solve``: a model of all `assertions`.
+
+    `failed` says the evaluation that produced them failed definitely.
+    """
+    if failed:
+        return QueryOutcome("unsat", stats=vm.stats,
+                            message="execution fails on every path")
+    return _decided(vm, assertions, budget)
+
+
+def _decide_verify(vm: VM, failed: bool, assumptions: Sequence[T.Term],
+                   targets: Sequence[T.Term],
+                   budget: Optional[Budget] = None) -> QueryOutcome:
+    """The decision step of ``verify``: an interpretation satisfying the
+    `assumptions` and violating some of the `targets`."""
+    if failed:
+        # Execution fails unconditionally: every input is a witness.
+        return QueryOutcome("sat", model=Model(SmtModel({})),
+                            stats=vm.stats,
+                            message="definite assertion failure")
+    if not targets:
+        return QueryOutcome("unsat", stats=vm.stats,
+                            message="no assertions reachable")
+    violated = T.mk_or(*[T.mk_not(a) for a in targets])
+    return _decided(vm, [*assumptions, violated], budget)
+
+
+def _decide_synthesize(vm: VM, failed: bool, assumptions: Sequence[T.Term],
+                       targets: Sequence[T.Term],
+                       input_terms: Sequence[T.Term],
+                       max_iterations: int = 64,
+                       budget: Optional[Budget] = None,
+                       iteration_budget: Optional[dict] = None
+                       ) -> QueryOutcome:
+    """The decision step of ``synthesize``: CEGIS on
+    ∃holes ∀inputs. ⋀assumptions ⇒ ⋀targets."""
+    if failed:
+        return QueryOutcome("unsat", stats=vm.stats,
+                            message="execution fails on every path")
+    pre = T.mk_and(*assumptions) if assumptions else T.TRUE
+    post = T.mk_and(*targets) if targets else T.TRUE
+    return cegis(T.mk_implies(pre, post), input_terms, vm,
+                 max_iterations=max_iterations, budget=budget,
+                 iteration_budget=iteration_budget)
+
+
+def _run_setup(setup: Optional[Callable[[], object]], vm: VM) -> bool:
+    """Evaluate an optional precondition thunk; True if it fails."""
+    return setup is not None and _run(setup, vm)[0]
+
+
 def solve(thunk: Callable[[], object],
           budget: Optional[Budget] = None) -> QueryOutcome:
     """Find an interpretation under which the thunk's assertions all hold.
@@ -117,27 +194,11 @@ def solve(thunk: Callable[[], object],
     `budget` bounds the whole query (encoding and solving); on exhaustion
     the outcome is ``unknown`` with a populated ``report``.
     """
-    with tracing(), _query_span("query.solve") as span:
-        span.outcome = outcome = _solve(thunk, budget)
-        return outcome
-
-
-def _solve(thunk, budget) -> QueryOutcome:
-    with VM() as vm:
+    with tracing(), _query_span("query.solve") as span, VM() as vm:
         failed, _ = _run(thunk, vm)
-        if failed:
-            return QueryOutcome("unsat", stats=vm.stats,
-                                message="execution fails on every path")
-        solver = SmtSolver(budget=budget)
-        for assertion in vm.assertions:
-            solver.add_assertion(assertion)
-        result = _check(solver, vm)
-        if result is SmtResult.SAT:
-            return QueryOutcome("sat", model=Model(solver.model()),
-                                stats=vm.stats)
-        if result is SmtResult.UNKNOWN:
-            return _unknown(vm, solver)
-        return QueryOutcome("unsat", stats=vm.stats)
+        span.outcome = outcome = _decide_solve(vm, failed, vm.assertions,
+                                               budget)
+        return outcome
 
 
 def verify(thunk: Callable[[], object],
@@ -152,46 +213,17 @@ def verify(thunk: Callable[[], object],
     counterexample); `unsat` means the assertions hold for every input —
     the paper's "no counterexample found". `budget` is as in :func:`solve`.
     """
-    with tracing(), _query_span("query.verify") as span:
-        span.outcome = outcome = _verify(thunk, setup, budget)
+    with tracing(), _query_span("query.verify") as span, VM() as vm:
+        if _run_setup(setup, vm):
+            outcome = QueryOutcome("unsat", stats=vm.stats,
+                                   message="preconditions are unsatisfiable")
+        else:
+            mark = len(vm.assertions)
+            failed, _ = _run(thunk, vm)
+            outcome = _decide_verify(vm, failed, vm.assertions[:mark],
+                                     vm.assertions[mark:], budget)
+        span.outcome = outcome
         return outcome
-
-
-def _verify(thunk, setup, budget) -> QueryOutcome:
-    with VM() as vm:
-        if setup is not None:
-            setup_failed, _ = _run(setup, vm)
-            if setup_failed:
-                return QueryOutcome("unsat", stats=vm.stats,
-                                    message="preconditions are unsatisfiable")
-        assumptions = list(vm.assertions)
-        mark = len(assumptions)
-        failed, _ = _run(thunk, vm)
-        if failed:
-            # Execution fails unconditionally: every input is a witness.
-            return QueryOutcome("sat", model=Model(_empty_model()),
-                                stats=vm.stats,
-                                message="definite assertion failure")
-        targets = vm.assertions[mark:]
-        if not targets:
-            return QueryOutcome("unsat", stats=vm.stats,
-                                message="no assertions reachable")
-        solver = SmtSolver(budget=budget)
-        for assumption in assumptions:
-            solver.add_assertion(assumption)
-        solver.add_assertion(T.mk_or(*[T.mk_not(a) for a in targets]))
-        result = _check(solver, vm)
-        if result is SmtResult.SAT:
-            return QueryOutcome("sat", model=Model(solver.model()),
-                                stats=vm.stats)
-        if result is SmtResult.UNKNOWN:
-            return _unknown(vm, solver)
-        return QueryOutcome("unsat", stats=vm.stats)
-
-
-def _empty_model():
-    from repro.smt.solver import Model as SmtModel
-    return SmtModel({})
 
 
 def _input_terms(inputs: Iterable) -> List[T.Term]:
@@ -334,34 +366,19 @@ def synthesize(inputs: Sequence, thunk: Callable[[], object],
     `setup` are input preconditions: the goal is ∀inputs. pre ⇒ post.
     See :func:`cegis` for the `budget`/`iteration_budget` semantics.
     """
-    with tracing(), _query_span("query.synthesize") as span:
-        span.outcome = outcome = _synthesize(
-            inputs, thunk, setup, max_iterations, budget, iteration_budget)
+    with tracing(), _query_span("query.synthesize") as span, VM() as vm:
+        if _run_setup(setup, vm):
+            outcome = QueryOutcome("unsat", stats=vm.stats,
+                                   message="preconditions are unsatisfiable")
+        else:
+            mark = len(vm.assertions)
+            failed, _ = _run(thunk, vm)
+            outcome = _decide_synthesize(
+                vm, failed, vm.assertions[:mark], vm.assertions[mark:],
+                _input_terms(inputs), max_iterations, budget,
+                iteration_budget)
+        span.outcome = outcome
         return outcome
-
-
-def _synthesize(inputs, thunk, setup, max_iterations, budget,
-                iteration_budget) -> QueryOutcome:
-    with VM() as vm:
-        if setup is not None:
-            setup_failed, _ = _run(setup, vm)
-            if setup_failed:
-                return QueryOutcome("unsat", stats=vm.stats,
-                                    message="preconditions are unsatisfiable")
-        assumptions = list(vm.assertions)
-        mark = len(assumptions)
-        failed, _ = _run(thunk, vm)
-        if failed:
-            return QueryOutcome("unsat", stats=vm.stats,
-                                message="execution fails on every path")
-        targets = vm.assertions[mark:]
-        pre = T.mk_and(*assumptions) if assumptions else T.TRUE
-        post = T.mk_and(*targets) if targets else T.TRUE
-        goal = T.mk_implies(pre, post)
-        return cegis(goal, _input_terms(inputs), vm,
-                     max_iterations=max_iterations,
-                     budget=budget,
-                     iteration_budget=iteration_budget)
 
 
 def _default_value(var: T.Term):

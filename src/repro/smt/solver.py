@@ -176,7 +176,6 @@ class SmtSolver:
         self.blaster = BitBlaster(self.sat)
         self._assertions: List[T.Term] = []
         self._asserted_false = False
-        self._assumption_lits: Dict[T.Term, int] = {}
         self._last_core: List[T.Term] = []
         self._last_result: Optional[SmtResult] = None
         self._last_assumption_terms: List[T.Term] = []
@@ -261,13 +260,6 @@ class SmtSolver:
     # Checking
     # ------------------------------------------------------------------
 
-    def _assumption_lit(self, term: T.Term) -> int:
-        lit = self._assumption_lits.get(term)
-        if lit is None:
-            lit = self.blaster.lit_of(term)
-            self._assumption_lits[term] = lit
-        return lit
-
     def _stats_mark(self) -> CheckStats:
         sat, blaster = self.sat, self.blaster
         return CheckStats(0, sat.num_conflicts, sat.num_decisions,
@@ -349,7 +341,7 @@ class SmtSolver:
                         if self.certify:
                             self.last_cert = "trivial"
                         return self._finish(SmtResult.UNSAT, [term])
-                    lit = self._assumption_lit(term)
+                    lit = self.blaster.lit_of(term)
                     lits.append(lit)
                     lit_to_term[lit] = term
             except BudgetExhausted as exhausted:
@@ -561,7 +553,7 @@ class SmtSolver:
 
     def _certify_core(self, core: Sequence[T.Term]) -> None:
         """Postcondition of :meth:`minimize_core`: re-prove the core unsat."""
-        lits = [self._assumption_lit(term) for term in core]
+        lits = [self.blaster.lit_of(term) for term in core]
         traced = BUS.enabled
         if traced:
             BUS.begin("cert.core", "cert", size=len(core))

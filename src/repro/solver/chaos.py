@@ -249,7 +249,7 @@ def _fault_truncate_core(rng: random.Random) -> FaultOutcome:
     solver, core = _minimal_core()
     dropped = rng.randrange(len(core))
     truncated = [term for i, term in enumerate(core) if i != dropped]
-    lits = [solver._assumption_lit(term) for term in truncated]
+    lits = [solver.blaster.lit_of(term) for term in truncated]
     try:
         check_proof(solver.proof, core=lits)
     except CertificationError as rup_rejected:

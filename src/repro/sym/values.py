@@ -360,12 +360,6 @@ class Box:
         return f"Box({self.name}={self.value!r})"
 
 
-def is_primitive(value) -> bool:
-    """True for values merged logically: booleans and integers."""
-    return isinstance(value, (bool, SymBool, SymInt)) or \
-        (isinstance(value, int) and not isinstance(value, bool))
-
-
 def is_boolean_value(value) -> bool:
     return isinstance(value, (bool, SymBool))
 

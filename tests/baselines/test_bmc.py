@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.baselines import bmc_solve, bmc_verify, run_with_logical_merging
+from repro.baselines import run_with_logical_merging
+from repro.queries import solve, verify
 from repro.sym import fresh_int, ops
+from repro.sym.merge import merge_strategy
 from repro.sym.values import Union
 from repro.vm import assert_, builtins as B
 from repro.vm.context import current
@@ -59,37 +61,42 @@ class TestLogicalMerging:
 
 
 class TestBmcQueries:
-    def test_bmc_solve_agrees_with_svm(self):
-        from repro.queries import solve
+    """The BMC-style queries are the ordinary queries under logical
+    merging."""
 
+    def test_bmc_solve_agrees_with_svm(self):
         def program():
             xs = (fresh_int("bs"), fresh_int("bs"))
             assert_(B.equal(B.length(rev_pos(xs)), 2))
 
         svm = solve(program)
-        status, _ = bmc_solve(program)
-        assert status == svm.status == "sat"
+        with merge_strategy("logical"):
+            bmc = solve(program)
+        assert bmc.status == svm.status == "sat"
 
     def test_bmc_solve_unsat(self):
         def program():
             xs = (fresh_int("bu"),)
             assert_(B.equal(B.length(rev_pos(xs)), 9))
-        status, _ = bmc_solve(program)
-        assert status == "unsat"
+        with merge_strategy("logical"):
+            outcome = solve(program)
+        assert outcome.status == "unsat"
 
     def test_bmc_verify_finds_counterexample(self):
         def program():
             xs = (fresh_int("bv"), fresh_int("bv"))
             assert_(B.equal(B.length(rev_pos(xs)), 2))
-        status, _ = bmc_verify(program)
-        assert status == "sat"
+        with merge_strategy("logical"):
+            outcome = verify(program)
+        assert outcome.status == "sat"
 
     def test_bmc_verify_valid_property(self):
         def program():
             xs = (fresh_int("bw"), fresh_int("bw"))
             assert_(ops.le(B.length(rev_pos(xs)), 2))
-        status, _ = bmc_verify(program)
-        assert status == "unsat"
+        with merge_strategy("logical"):
+            outcome = verify(program)
+        assert outcome.status == "unsat"
 
     def test_bmc_verify_with_setup(self):
         holder = {}
@@ -102,14 +109,45 @@ class TestBmcQueries:
         def program():
             assert_(ops.ge(holder["x"], 5))
 
-        status, _ = bmc_verify(program, setup=setup)
-        assert status == "unsat"
+        with merge_strategy("logical"):
+            outcome = verify(program, setup=setup)
+        assert outcome.status == "unsat"
 
     def test_definite_failure(self):
         from repro.vm.errors import AssertionFailure
         def program():
             raise AssertionFailure("nope")
-        status, _ = bmc_solve(program)
-        assert status == "unsat"
-        status, _ = bmc_verify(program)
-        assert status == "sat"
+        with merge_strategy("logical"):
+            assert solve(program).status == "unsat"
+            assert verify(program).status == "sat"
+
+    def test_failing_setup_is_unsat_as_under_the_svm(self):
+        """Infeasible preconditions leave nothing to violate, under
+        either merge strategy."""
+        from repro.vm.errors import AssertionFailure
+
+        def setup():
+            raise AssertionFailure("no input satisfies the precondition")
+
+        def program():
+            assert_(ops.ge(fresh_int("bf"), 5))
+
+        svm = verify(program, setup=setup)
+        with merge_strategy("logical"):
+            bmc = verify(program, setup=setup)
+        assert bmc.status == svm.status == "unsat"
+        assert bmc.message == svm.message == "preconditions are unsatisfiable"
+
+    def test_queries_merge_logically(self):
+        """The strategy reaches the query's own VM: the same solve query
+        builds larger unions under logical merging."""
+        def program():
+            xs = tuple(fresh_int("bl") for _ in range(4))
+            assert_(ops.le(B.length(rev_pos(xs)), 4))
+
+        typed = solve(program)
+        with merge_strategy("logical"):
+            logical = solve(program)
+        assert logical.status == typed.status == "sat"
+        assert logical.stats.union_cardinality_sum > \
+            typed.stats.union_cardinality_sum

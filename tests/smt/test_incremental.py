@@ -64,6 +64,9 @@ class TestEncodeCache:
         assert solver.check([equation]) is SmtResult.SAT
         assert solver.blaster.cache_misses == misses_after_first
         assert solver.last_check.encode_misses == 0
+        # The repeated assumption is served by the encode cache, and the
+        # hit is counted.
+        assert solver.last_check.encode_hits > 0
 
     def test_check_stats_report_cache_counters(self):
         x = T.bv_var("inc_g", 8)
