@@ -8,10 +8,10 @@ sound abstraction of the result — an :class:`~repro.analysis.domains.AbsVal`
 ``BTRUE``/``BFALSE``/``BTOP`` point for boolean nodes.
 
 Exactness fast path: when every argument abstracts to a singleton, the
-node is evaluated *concretely* through the same fold helpers
-``repro.smt.terms`` uses, so the analysis is exact wherever the inputs
-are — including the signed division family, where the abstract transfer
-alone would give up.
+node is evaluated *concretely* through :func:`repro.smt.terms.eval_op`,
+the per-operator table ``terms.evaluate`` compiles from, so the analysis
+is exact wherever the inputs are — including the signed division
+family, where the abstract transfer alone would give up.
 
 The equality transfer adds one relational trick the non-relational
 domains cannot see: for ``a = b`` over bitvectors it builds ``a - b``
@@ -107,12 +107,10 @@ def _transfer(node: T.Term,
     args = [memo[arg] for arg in node.args]
 
     # Exactness fast path: all-singleton arguments evaluate concretely
-    # through the same semantics `terms.evaluate` uses.
+    # through the operator table `terms.evaluate` compiles from.
     concrete = _concrete_args(args)
     if concrete is not None:
-        value = T._eval_node(
-            node, {}, {id(arg): val for arg, val in zip(node.args, concrete)})
-        return _lift_concrete(node, value)
+        return _lift_concrete(node, T.eval_op(node, concrete))
 
     # Boolean connectives -------------------------------------------------
     if op == T.OP_NOT:

@@ -24,6 +24,7 @@ through this pass unchanged.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -187,11 +188,11 @@ def _cross_check(original: T.Term, rewritten: T.Term,
 
     variables = T.term_vars(original)
     total_bits = sum(max(1, var.width) for var in variables)
-    assignments = []
     if total_bits <= EXHAUSTIVE_BITS:
-        assignments = list(_all_assignments(variables))
+        assignments = _all_assignments(variables)
     else:
         rng = rng or random.Random(0xA11A5)
+        assignments = []
         for _ in range(SAMPLE_COUNT):
             env = {}
             for var in variables:
@@ -200,10 +201,12 @@ def _cross_check(original: T.Term, rewritten: T.Term,
                 else:
                     env[var] = rng.getrandbits(var.width)
             assignments.append(env)
+    run_original = T.compile_term(original)
+    run_rewritten = T.compile_term(rewritten)
     for env in assignments:
         stats.certified += 1
-        old_val = T.evaluate(original, env)
-        new_val = T.evaluate(rewritten, env)
+        old_val = run_original(env)
+        new_val = run_rewritten(env)
         if old_val != new_val:
             raise CertificationError(
                 "sanitize",
@@ -213,17 +216,10 @@ def _cross_check(original: T.Term, rewritten: T.Term,
 
 
 def _all_assignments(variables):
-    """Every assignment over a small variable space."""
-    if not variables:
-        yield {}
-        return
-    head, tail = variables[0], variables[1:]
-    if head.sort is T.BOOL:
-        values = (False, True)
-    else:
-        values = range(1 << head.width)
-    for rest in _all_assignments(tail):
-        for value in values:
-            env = dict(rest)
-            env[head] = value
-            yield env
+    """Every assignment over a small variable space, the first variable
+    varying fastest."""
+    order = variables[::-1]
+    domains = [(False, True) if var.sort is T.BOOL else range(1 << var.width)
+               for var in order]
+    for values in itertools.product(*domains):
+        yield dict(zip(order, values))

@@ -409,11 +409,7 @@ class SmtSolver:
         """Re-evaluate active assertions + last assumptions under bindings."""
         targets = self.assertions() + self._last_assumption_terms
         for term in targets:
-            env = dict(bindings)
-            for var in T.term_vars(term):
-                if var not in env:
-                    env[var] = False if var.sort is T.BOOL else 0
-            if T.evaluate(term, env) is not True:
+            if T.evaluate(term, bindings) is not True:
                 raise CertificationError(
                     "model", f"assertion evaluates false under the model: "
                              f"{T.to_sexpr(term, max_depth=4)}")

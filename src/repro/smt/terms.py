@@ -22,8 +22,8 @@ import gc
 import itertools
 import weakref
 from _weakref import _remove_dead_weakref
-from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from operator import attrgetter, itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # Sorts and operators
@@ -751,78 +751,114 @@ def evaluate(term: Term, env: Dict[Term, object]):
 
     `env` maps variable terms to Python values (bool / unsigned int).
     Unassigned variables default to False / 0 — matching how SAT models
-    treat don't-care variables.
+    treat don't-care variables. To evaluate one term under many
+    assignments, compile it once with :func:`compile_term`.
     """
-    memo: Dict[int, object] = {}
+    return compile_term(term)(env)
+
+
+def compile_term(term: Term) -> Callable[[Dict[Term, object]], object]:
+    """Compile `term` for repeated concrete evaluation.
+
+    One walk of the DAG gives every node a slot: constants and variables
+    first, then each operator node in post order with a closure from
+    :data:`_EVALUATORS` over its arguments' slots. The returned
+    ``run(env)`` has :func:`evaluate`'s semantics and fills the slots in
+    one flat loop, so many assignments pay for the walk once.
+    """
+    consts: List[Term] = []
+    variables: List[Term] = []
+    internal: List[Term] = []
     for node in postorder(term):
-        memo[id(node)] = _eval_node(node, env, memo)
-    return memo[id(term)]
+        if node.args:
+            internal.append(node)
+        elif node.is_var:
+            variables.append(node)
+        else:
+            consts.append(node)
+    slot = {id(node): index for index, node in
+            enumerate(itertools.chain(consts, variables, internal))}
+    steps = [_evaluator(node, [slot[id(arg)] for arg in node.args])
+             for node in internal]
+    const_values = [node.const_value() for node in consts]
+    defaults = [(var, False if var.sort is BOOL else 0) for var in variables]
+    root = slot[id(term)]
+
+    def run(env: Dict[Term, object]):
+        get = env.get
+        values = const_values + [get(var, default) for var, default in defaults]
+        append = values.append
+        for step in steps:
+            append(step(values))
+        return values[root]
+    return run
 
 
-def _eval_node(node: Term, env, memo):
-    op = node.op
-    if node.is_var:
-        if node in env:
-            return env[node]
-        return False if node.sort is BOOL else 0
-    if node.is_const:
-        return node.const_value()
-    args = [memo[id(arg)] for arg in node.args]
-    width = node.args[0].width if node.args else node.width
-    mask = (1 << width) - 1 if width else 0
-    if op == OP_NOT:
-        return not args[0]
-    if op == OP_AND:
-        return all(args)
-    if op == OP_OR:
-        return any(args)
-    if op == OP_XOR:
-        return args[0] != args[1]
-    if op == OP_EQ:
-        return args[0] == args[1]
-    if op == OP_ITE:
-        return args[1] if args[0] else args[2]
-    if op == OP_ULT:
-        return args[0] < args[1]
-    if op == OP_ULE:
-        return args[0] <= args[1]
-    if op == OP_SLT:
-        return to_signed(args[0], width) < to_signed(args[1], width)
-    if op == OP_SLE:
-        return to_signed(args[0], width) <= to_signed(args[1], width)
-    if op == OP_ADD:
-        return sum(args) & mask
-    if op == OP_SUB:
-        return (args[0] - args[1]) & mask
-    if op == OP_MUL:
-        return (args[0] * args[1]) & mask
-    if op == OP_UDIV:
-        return _udiv_fold(args[0], args[1], width) & mask
-    if op == OP_UREM:
-        return _urem_fold(args[0], args[1], width) & mask
-    if op == OP_SDIV:
-        return _sdiv_fold(args[0], args[1], width) & mask
-    if op == OP_SREM:
-        return _srem_fold(args[0], args[1], width) & mask
-    if op == OP_SMOD:
-        return _smod_fold(args[0], args[1], width) & mask
-    if op == OP_NEG:
-        return (-args[0]) & mask
-    if op == OP_BVAND:
-        return args[0] & args[1]
-    if op == OP_BVOR:
-        return args[0] | args[1]
-    if op == OP_BVXOR:
-        return args[0] ^ args[1]
-    if op == OP_BVNOT:
-        return (~args[0]) & mask
-    if op == OP_SHL:
-        return (args[0] << args[1]) & mask if args[1] < width else 0
-    if op == OP_LSHR:
-        return args[0] >> args[1] if args[1] < width else 0
-    if op == OP_ASHR:
-        return (to_signed(args[0], width) >> min(args[1], width - 1)) & mask
-    raise ValueError(f"cannot evaluate operator {op}")
+def eval_op(node: Term, args: Sequence) -> object:
+    """Apply `node`'s operator to concrete argument values `args`."""
+    return _evaluator(node, range(len(args)))(args)
+
+
+def _evaluator(node: Term, slots: Sequence[int]) -> Callable[[list], object]:
+    """`node`'s operator as a function of a slot list holding its
+    arguments' values at `slots`."""
+    factory = _EVALUATORS.get(node.op)
+    if factory is None:
+        raise ValueError(f"cannot evaluate operator {node.op}")
+    width = node.args[0].width    # operand width; 0 for boolean operands
+    return factory(width, (1 << width) - 1, *slots)
+
+
+def _eval_and(w, m, *slots):
+    get = itemgetter(*slots)    # n-ary nodes have two or more arguments
+    return lambda v: all(get(v))
+
+
+def _eval_or(w, m, *slots):
+    get = itemgetter(*slots)
+    return lambda v: any(get(v))
+
+
+def _eval_add(w, m, *slots):
+    get = itemgetter(*slots)
+    return lambda v: sum(get(v)) & m
+
+
+# Concrete semantics, one entry per operator: ``factory(width, mask,
+# *slots)`` returns a function of the slot list, where `width` is the
+# operands' width and `mask` is ``2**width - 1``.
+_EVALUATORS: Dict[str, Callable] = {
+    OP_NOT: lambda w, m, a: lambda v: not v[a],
+    OP_AND: _eval_and,
+    OP_OR: _eval_or,
+    OP_XOR: lambda w, m, a, b: lambda v: v[a] != v[b],
+    OP_EQ: lambda w, m, a, b: lambda v: v[a] == v[b],
+    OP_ITE: lambda w, m, c, a, b: lambda v: v[a] if v[c] else v[b],
+    OP_ULT: lambda w, m, a, b: lambda v: v[a] < v[b],
+    OP_ULE: lambda w, m, a, b: lambda v: v[a] <= v[b],
+    OP_SLT: lambda w, m, a, b:
+        lambda v: to_signed(v[a], w) < to_signed(v[b], w),
+    OP_SLE: lambda w, m, a, b:
+        lambda v: to_signed(v[a], w) <= to_signed(v[b], w),
+    OP_ADD: _eval_add,
+    OP_SUB: lambda w, m, a, b: lambda v: (v[a] - v[b]) & m,
+    OP_MUL: lambda w, m, a, b: lambda v: (v[a] * v[b]) & m,
+    OP_UDIV: lambda w, m, a, b: lambda v: _udiv_fold(v[a], v[b], w) & m,
+    OP_UREM: lambda w, m, a, b: lambda v: _urem_fold(v[a], v[b], w) & m,
+    OP_SDIV: lambda w, m, a, b: lambda v: _sdiv_fold(v[a], v[b], w) & m,
+    OP_SREM: lambda w, m, a, b: lambda v: _srem_fold(v[a], v[b], w) & m,
+    OP_SMOD: lambda w, m, a, b: lambda v: _smod_fold(v[a], v[b], w) & m,
+    OP_NEG: lambda w, m, a: lambda v: -v[a] & m,
+    OP_BVAND: lambda w, m, a, b: lambda v: v[a] & v[b],
+    OP_BVOR: lambda w, m, a, b: lambda v: v[a] | v[b],
+    OP_BVXOR: lambda w, m, a, b: lambda v: v[a] ^ v[b],
+    OP_BVNOT: lambda w, m, a: lambda v: ~v[a] & m,
+    OP_SHL: lambda w, m, a, b:
+        lambda v: (v[a] << v[b]) & m if v[b] < w else 0,
+    OP_LSHR: lambda w, m, a, b: lambda v: v[a] >> v[b] if v[b] < w else 0,
+    OP_ASHR: lambda w, m, a, b:
+        lambda v: (to_signed(v[a], w) >> min(v[b], w - 1)) & m,
+}
 
 
 def to_sexpr(term: Term, max_depth: Optional[int] = None) -> str:

@@ -143,13 +143,10 @@ class ProofLog:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _CClause:
-    """A checker-side clause (external signed literals, deduplicated)."""
-
-    __slots__ = ("lits",)
-
-    def __init__(self, lits: Tuple[int, ...]):
-        self.lits = list(lits)
+def _code(lit: int) -> int:
+    """The checker's internal code of a DIMACS literal: ``2v`` for ``v``,
+    ``2v + 1`` for ``-v``, so ``code ^ 1`` is the negation."""
+    return lit << 1 if lit > 0 else (-lit << 1) | 1
 
 
 class RupChecker:
@@ -160,6 +157,13 @@ class RupChecker:
     added so far). :meth:`check_rup` and :meth:`check_conflict` make
     temporary assumptions on top of the root state and undo them.
 
+    The interface speaks DIMACS literals; inside, a literal is its
+    :func:`_code`. A clause is a list of codes whose first two entries are
+    watched, ``_watches`` is a list indexed by code, and ``_value[code]``
+    is 1 (true), 0 (false) or ``_UNASSIGNED``; a variable's two codes are
+    set and cleared together, so propagation reads one list entry per
+    literal.
+
     The implementation intentionally shares nothing with
     :class:`repro.solver.sat.SatSolver` beyond the two-watched-literal
     idea — no conflict analysis, no heuristics, no backjumping — so a bug
@@ -167,12 +171,12 @@ class RupChecker:
     """
 
     def __init__(self):
-        self._assign: List[int] = [_UNASSIGNED]   # 1-indexed by variable
-        # watches[l] = clauses currently watching literal l (their lits[0]
-        # or lits[1] is l); examined when l becomes false.
-        self._watches: Dict[int, List[_CClause]] = {}
-        self._trail: List[int] = []
-        self._by_key: Dict[Tuple[int, ...], List[_CClause]] = {}
+        self._value: List[int] = [_UNASSIGNED, _UNASSIGNED]
+        # watches[c] = clauses currently watching code c (their [0] or
+        # [1] is c); examined when c becomes false.
+        self._watches: List[List[List[int]]] = [[], []]
+        self._trail: List[int] = []               # codes, assignment order
+        self._by_key: Dict[Tuple[int, ...], List[List[int]]] = {}
         self._root_reasons: set = set()           # id() of root-reason clauses
         self._at_root = False                     # recording root reasons?
         #: True once the empty clause is derivable at root level.
@@ -181,18 +185,10 @@ class RupChecker:
     # -- assignment plumbing -------------------------------------------
 
     def _ensure_var(self, var: int) -> None:
-        while len(self._assign) <= var:
-            self._assign.append(_UNASSIGNED)
-
-    def _value(self, lit: int) -> int:
-        assign = self._assign[abs(lit)]
-        if assign == _UNASSIGNED:
-            return _UNASSIGNED
-        return assign if lit > 0 else 1 - assign
-
-    def _set(self, lit: int) -> None:
-        self._assign[abs(lit)] = 1 if lit > 0 else 0
-        self._trail.append(lit)
+        grow = 2 * (var + 1) - len(self._value)
+        if grow > 0:
+            self._value.extend([_UNASSIGNED] * grow)
+            self._watches.extend([] for _ in range(grow))
 
     @staticmethod
     def _key(lits: Iterable[int]) -> Tuple[int, ...]:
@@ -208,22 +204,27 @@ class RupChecker:
         satisfied or unit at root needs no movable watches.
         """
         unique = self._key(lits)
-        for lit in unique:
-            self._ensure_var(abs(lit))
-        if any(-lit in unique for lit in unique):
+        variables = set(map(abs, unique))
+        self._ensure_var(max(variables, default=0))
+        if len(variables) < len(unique):
             return  # tautology: inert under every assignment
-        clause = _CClause(unique)
+        clause = [_code(lit) for lit in unique]
         self._by_key.setdefault(unique, []).append(clause)
-        nonfalse = [lit for lit in clause.lits if self._value(lit) != 0]
-        if any(self._value(lit) == 1 for lit in nonfalse):
-            return  # permanently satisfied at root
+        value = self._value
+        nonfalse = []
+        for code in clause:
+            state = value[code]
+            if state == 1:
+                return  # permanently satisfied at root
+            if state == _UNASSIGNED:
+                nonfalse.append(code)
         if not nonfalse:
             self.contradiction = True
             return
         if len(nonfalse) == 1:
             # Unit at root: extend the permanent assignment.
             start = len(self._trail)
-            self._set(nonfalse[0])
+            self._assign(nonfalse[0])
             self._root_reasons.add(id(clause))
             self._at_root = True
             try:
@@ -233,11 +234,12 @@ class RupChecker:
                 self._at_root = False
             return
         # Two non-false literals exist: put them first and watch them.
-        ordered = nonfalse[:2] + [lit for lit in clause.lits
-                                  if lit not in nonfalse[:2]]
-        clause.lits = ordered
-        self._watches.setdefault(ordered[0], []).append(clause)
-        self._watches.setdefault(ordered[1], []).append(clause)
+        watched = nonfalse[:2]
+        if clause[:2] != watched:
+            clause[:] = watched + [code for code in clause
+                                   if code not in watched]
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
 
     def delete_clause(self, lits: Sequence[int]) -> None:
         """Remove one copy of a clause (drat-trim reason-guard applied)."""
@@ -251,56 +253,68 @@ class RupChecker:
         bucket.pop()
         if not bucket:
             del self._by_key[key]
-        for watched in clause.lits[:2]:
-            watchlist = self._watches.get(watched)
-            if watchlist and clause in watchlist:
-                watchlist.remove(clause)
+        for watched in clause[:2]:
+            watchlist = self._watches[watched]
+            for index, other in enumerate(watchlist):
+                if other is clause:
+                    del watchlist[index]
+                    break
 
     # -- propagation ---------------------------------------------------
 
-    def _propagate_from(self, start: int) -> Optional[_CClause]:
+    def _assign(self, code: int) -> None:
+        self._value[code] = 1
+        self._value[code ^ 1] = 0
+        self._trail.append(code)
+
+    def _propagate_from(self, start: int) -> Optional[List[int]]:
         """Unit propagation over trail literals from index `start` on;
-        returns the first falsified clause, or None at fixpoint."""
+        returns the first falsified clause, or None at fixpoint.
+
+        Each watch list is compacted in place: clauses that keep their
+        watch slide down over those that moved to another literal, and on
+        a conflict the unvisited tail is kept behind them.
+        """
         trail = self._trail
         watches = self._watches
+        value = self._value
+        at_root = self._at_root
         qhead = start
         while qhead < len(trail):
-            false_lit = -trail[qhead]
+            false_lit = trail[qhead] ^ 1
             qhead += 1
-            watchlist = watches.get(false_lit)
+            watchlist = watches[false_lit]
             if not watchlist:
                 continue
-            kept: List[_CClause] = []
-            i = 0
-            n = len(watchlist)
-            while i < n:
-                clause = watchlist[i]
-                i += 1
-                lits = clause.lits
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], false_lit
-                first = lits[0]
-                if self._value(first) == 1:
-                    kept.append(clause)    # satisfied via the other watch
+            j = 0
+            for i, clause in enumerate(watchlist):
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                if value[first] == 1:
+                    watchlist[j] = clause  # satisfied via the other watch
+                    j += 1
                     continue
-                moved = False
-                for k in range(2, len(lits)):
-                    if self._value(lits[k]) != 0:
-                        lits[1], lits[k] = lits[k], false_lit
-                        watches.setdefault(lits[1], []).append(clause)
-                        moved = True
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] != 0:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        watches[lit].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if self._value(first) == 0:
-                    kept.extend(watchlist[i:])
-                    watches[false_lit] = kept
-                    return clause          # all literals false: conflict
-                self._set(first)           # unit
-                if self._at_root:
-                    self._root_reasons.add(id(clause))
-            watches[false_lit] = kept
+                else:
+                    watchlist[j] = clause
+                    j += 1
+                    if value[first] == 0:
+                        del watchlist[j:i + 1]
+                        return clause      # all literals false: conflict
+                    value[first] = 1       # unit
+                    value[first ^ 1] = 0
+                    trail.append(first)
+                    if at_root:
+                        self._root_reasons.add(id(clause))
+            del watchlist[j:]
         return None
 
     # -- checks --------------------------------------------------------
@@ -313,22 +327,21 @@ class RupChecker:
         if self.contradiction:
             return True
         start = len(self._trail)
-        conflict = False
         try:
             for lit in lits:
                 self._ensure_var(abs(lit))
-                value = self._value(lit)
+                code = _code(lit)
+                value = self._value[code]
                 if value == 0:
-                    conflict = True
-                    break
+                    return True
                 if value == _UNASSIGNED:
-                    self._set(lit)
-            if not conflict:
-                conflict = self._propagate_from(start) is not None
-            return conflict
+                    self._assign(code)
+            return self._propagate_from(start) is not None
         finally:
-            while len(self._trail) > start:
-                self._assign[abs(self._trail.pop())] = _UNASSIGNED
+            value = self._value
+            for code in self._trail[start:]:
+                value[code] = value[code ^ 1] = _UNASSIGNED
+            del self._trail[start:]
 
     def check_rup(self, lits: Sequence[int]) -> bool:
         """Is the clause a reverse-unit-propagation consequence?"""

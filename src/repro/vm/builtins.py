@@ -46,10 +46,10 @@ def union_apply(fn: Callable, *args, count_join: bool = False):
     for arg in args:
         if isinstance(arg, Union):
             combos = [
-                (T.mk_and(guard, entry_guard), values + (entry_value,))
+                (both, values + (entry_value,))
                 for guard, values in combos
                 for entry_guard, entry_value in arg.entries
-                if T.mk_and(guard, entry_guard) is not T.FALSE
+                if (both := T.mk_and(guard, entry_guard)) is not T.FALSE
             ]
         else:
             combos = [(guard, values + (arg,)) for guard, values in combos]
